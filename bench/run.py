@@ -36,15 +36,16 @@ WORKLOADS = {
     "transport": wl_transport,
     "integer_solve": wl_integer,
 }
-COLD_STARTS = 7
+COLD_STARTS = 30
 
 # Times are reported at a fixed reference speed of the machine.  The shared
 # machine this benchmark was written on drifts by tens of percent within
 # minutes, far beyond any bound worth setting, and a fixed piece of
 # pure-Python exact arithmetic that does not touch fmlattice slows down
 # with it.  That kernel is timed about every CALIBRATION_PERIOD_S seconds
-# between operations and cold starts; every time is scaled by
-# REFERENCE_CALIBRATION_NS over the run's median kernel time.
+# between operations; every time is scaled by REFERENCE_CALIBRATION_NS over
+# the loop's median kernel time.  Cold starts are spread over the same loop,
+# so that the samples that scale them cover the same stretch of time.
 CALIBRATION_MATRIX = [
     [3, 4, -8, -1, 7, 6, 3, 0], [6, 2, 9, -3, 7, -5, 0, -5], [-6, -1, 8, -5, 0, -6, -7, 1],
     [6, 8, -6, 2, 4, 1, -3, 8], [6, 5, 7, -1, -8, 8, -9, -7], [3, -9, 6, 1, -2, 1, -7, -3],
@@ -72,8 +73,8 @@ class Calibration:
         self.samples_ns = []
         self._next = 0.0
 
-    def sample(self, force=False):
-        if force or time.monotonic() >= self._next:
+    def sample(self):
+        if time.monotonic() >= self._next:
             start = time.perf_counter_ns()
             R.inverse(CALIBRATION_MATRIX)
             R.det(CALIBRATION_MATRIX)
@@ -88,8 +89,8 @@ class Calibration:
 class Loop:
     """Closed loop over whole rounds of the same operations."""
 
-    def __init__(self, calibration):
-        self.calibration = calibration
+    def __init__(self):
+        self.calibration = Calibration()
         self.latencies_ns = []
         self.bits = []
         self.attempted = 0
@@ -97,33 +98,65 @@ class Loop:
         self.failures = []  # operations that raised
         self.wrong = []     # answers the checks refute
 
-    def run(self, ops, seconds, after_op=None):
+    def run(self, ops, seconds, after_op):
         deadline = time.monotonic() + seconds
         while True:
             for op in ops:
-                self.calibration.sample()
-                self.attempted += 1
-                start = time.perf_counter_ns()
-                try:
-                    result = op.call()
-                except Exception:  # a failed operation is counted, not fatal
-                    self.failed += 1
-                    _note(self.failures, f"{op.kind} raised:\n{traceback.format_exc()}")
-                    continue
-                finally:
-                    end = time.perf_counter_ns()
-                    if after_op is not None:
-                        after_op()
-                self.latencies_ns.append(end - start)
-                try:
-                    self.bits.append(op.check(result))
-                except Exception as exc:  # a wrong answer, or a check that cannot read it
-                    _note(self.wrong, f"{op.kind}: {type(exc).__name__}: {exc}")
+                self.step(op)
+                after_op()
             if time.monotonic() >= deadline:
                 return self
 
+    def step(self, op, tracer=None):
+        """Time one operation, with tracer installed around the call alone,
+        and check its result."""
+        self.calibration.sample()
+        self.attempted += 1
+        if tracer is not None:
+            tracer.install()
+        start = time.perf_counter_ns()
+        try:
+            result = op.call()
+        except Exception:  # a failed operation is counted, not fatal
+            self.failed += 1
+            _note(self.failures, f"{op.kind} raised:\n{traceback.format_exc()}")
+            return
+        finally:
+            end = time.perf_counter_ns()
+            if tracer is not None:
+                tracer.uninstall()
+                tracer.fold()
+        self.latencies_ns.append(end - start)
+        try:
+            self.bits.append(op.check(result))
+        except Exception as exc:  # a wrong answer, or a check that cannot read it
+            _note(self.wrong, f"{op.kind}: {type(exc).__name__}: {exc}")
+
     def mean_ns(self):
         return statistics.fmean(self.latencies_ns)
+
+
+class ColdStarts:
+    """COLD_STARTS cold starts, one every seconds / COLD_STARTS of the loop
+    they are sampled from.  Taken together before the loop, they were
+    scaled by kernel samples of a later stretch of time, and their median
+    spread by up to 0.24 between seeds."""
+
+    def __init__(self, defs, seconds):
+        self.defs = defs
+        self.period = seconds / COLD_STARTS
+        self.seconds = []
+        self._next = time.monotonic()
+
+    def sample(self):
+        if len(self.seconds) < COLD_STARTS and time.monotonic() >= self._next:
+            self.seconds.append(cold_start_seconds(self.defs))
+            self._next += self.period
+
+    def median(self):
+        while len(self.seconds) < COLD_STARTS:
+            self.seconds.append(cold_start_seconds(self.defs))
+        return statistics.median(self.seconds)
 
 
 def _note(messages, message):
@@ -131,7 +164,7 @@ def _note(messages, message):
         messages.append(message)
 
 
-def cold_start_seconds(defs, calibration):
+def cold_start_seconds(defs):
     """Fresh interpreter to ready: import fmlattice.cli, load the built-in
     catalog, parse the workload's definitions.  Bytecode caching is on, as
     for an installed package, so only the first cold start in a checkout
@@ -139,7 +172,6 @@ def cold_start_seconds(defs, calibration):
     env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(harness.SRC), env.get("PYTHONPATH")]))
-    calibration.sample(force=True)
     start = time.monotonic_ns()
     proc = subprocess.run([sys.executable, "-c", COLD_START, *map(str, defs)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
@@ -151,7 +183,9 @@ def percentile(sorted_values, q):
 
 
 def end_to_end_metrics(loop, setup_s, speed):
-    """Times at the reference speed: each raw time multiplied by speed."""
+    """Times at the reference speed: each raw time multiplied by speed.
+    ops_per_s counts only the time inside operations, so the checks and
+    the kernel samples between them do not dilute it."""
     lat = sorted(loop.latencies_ns)
     return {
         "setup_s": (setup_s * speed, "s"),
@@ -194,25 +228,33 @@ def main(argv=None):
     mismatches = harness.cross_check(catalog)
     ops, final_check = workload.build(fm, catalog, random.Random(f"{args.workload}:{args.seed}"))
 
-    calibration = Calibration()
     if not tracer:
-        setup_s = statistics.median(cold_start_seconds(workload.DEFS, calibration)
-                                    for _ in range(COLD_STARTS))
-        loop = Loop(calibration).run(ops, args.seconds)
-        speed = calibration.speed()
+        cold = ColdStarts(workload.DEFS, args.seconds)
+        loop = Loop().run(ops, args.seconds, after_op=cold.sample)
+        setup_s = cold.median()
+        speed = loop.calibration.speed()
         metrics = end_to_end_metrics(loop, setup_s, speed)
         raw = end_to_end_metrics(loop, setup_s, 1.0)
         print(f"bench: machine speed {speed:.3f} of the reference; raw figures "
               + ", ".join(f"{name} {value:.6g}" for name, (value, _) in raw.items()), file=sys.stderr)
         loops = [loop]
     else:
-        plain = Loop(calibration).run(ops, args.seconds / 2)
-        tracer.install()
-        traced = Loop(calibration).run(ops, args.seconds / 2, after_op=tracer.fold)
-        tracer.uninstall()
+        # Each operation runs once untraced and once traced, one right after
+        # the other, so that the machine's drift falls on both alike.  Which
+        # goes first alternates, so that a cache the first call warms
+        # favours neither.
+        plain, traced = Loop(), Loop()
+        pair = ((plain, None), (traced, tracer))
+        deadline = time.monotonic() + args.seconds
+        while True:
+            for i, op in enumerate(ops):
+                for loop, op_tracer in pair if i % 2 else pair[::-1]:
+                    loop.step(op, op_tracer)
+            if time.monotonic() >= deadline:
+                break
         overhead = 100 * (traced.mean_ns() / plain.mean_ns() - 1)
         totals = tracer.take()
-        speed = calibration.speed()
+        speed = traced.calibration.speed()
         metrics = tracing.per_layer_metrics(totals, setup_totals, len(traced.latencies_ns),
                                             max(traced.bits, default=0), overhead, speed)
         print(tracing.span_table(totals, len(traced.latencies_ns)), file=sys.stderr)

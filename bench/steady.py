@@ -1,5 +1,6 @@
-"""Steadiness check: repeat workloads over several seeds and report the
-run-to-run spread of every end-to-end metric.
+"""Steadiness check: repeat workloads over seeds 1..runs, each run as long
+as BENCHMARK.json sets, and report the run-to-run spread of every
+end-to-end metric.
 
     python3 bench/steady.py --runs 10                 # every workload
     python3 bench/steady.py --runs 5 --workload averaging
@@ -7,9 +8,8 @@ run-to-run spread of every end-to-end metric.
 The spread of a metric is the distance between the first and third
 quartiles of its values (statistics.quantiles, n=4) as a share of their
 median.  A metric is flagged when its spread exceeds a third of the bound
-set in BENCHMARK.json (setup_s is reported but not flagged: its bound
-guards the median, and each run already takes the median of several
-cold starts).  Runs go one after another, each in its own process.
+set in BENCHMARK.json.  Runs go one after another, each in its own
+process.
 """
 
 from __future__ import annotations
@@ -34,19 +34,17 @@ def main(argv=None):
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=names)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     summary = {}
     for workload in args.workload or names:
         values, shares = {name: [] for name in bounds}, set()
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(1, args.runs + 1):
             proc = subprocess.run(
                 [sys.executable, *spec["command"][1:], "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(args.seconds), "--trace", "0"],
+                 "--seconds", str(spec["run_seconds"]), "--trace", "0"],
                 cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
             result = json.loads(proc.stdout.splitlines()[-1])
             if not result["correct"]:
@@ -57,7 +55,7 @@ def main(argv=None):
         rows = summary[workload] = {}
         for name, bound in bounds.items():
             s = spread(values[name])
-            flagged = name != "setup_s" and s > bound / 3
+            flagged = s > bound / 3
             rows[name] = {"median": statistics.median(values[name]), "spread": s, "bound": bound,
                           "flagged": flagged, "values": values[name]}
             print(f"{workload:14} {name:16} median {rows[name]['median']:12.5g}  "

@@ -13,11 +13,12 @@ self time is its duration minus the time its child spans cover.
 from __future__ import annotations
 
 import functools
+import json
 import sys
 import time
 
 import refarith as R
-from harness import MODULES
+from harness import MODULES, ROOT
 
 METHODS = {
     ("lattice", "Matrix", "__init__"): "lattice.matrix_new",
@@ -32,43 +33,11 @@ MEASURED = {
     "lattice.smith_normal_form": lambda result: R.bits([m.entries for m in result]),
 }
 
-_PER_OP_FUNCTIONS = (
-    ("cli.run_cli", ("self_us_per_op",)),
-    ("defsio.load_definitions", ("calls_per_op", "self_us_per_op")),
-    ("defsio.parse_matrix_text", ("self_us_per_op",)),
-    ("catalog.reproduce", ("self_us_per_op",)),
-    ("covers.validate_cover", ("calls_per_op", "self_us_per_op")),
-    ("surfaces.euler_pairing", ("calls_per_op", "self_us_per_op")),
-    ("descent.freeness_gcd", ("self_us_per_op",)),
-    ("transport.lift_isometry", ("self_us_per_op",)),
-    ("transport.descend_isometry", ("self_us_per_op",)),
-    ("transport.check_equivariant", ("self_us_per_op",)),
-    ("transport.isometry_check", ("self_us_per_op",)),
-    ("transport.action_check", ("self_us_per_op",)),
-    ("averaging.norm_operator", ("self_us_per_op",)),
-    ("averaging.verify_ker_im", ("self_us_per_op",)),
-    ("averaging.descend_invariant", ("self_us_per_op",)),
-    ("lattice.matrix_new", ("calls_per_op", "self_us_per_op")),
-    ("lattice.matmul", ("calls_per_op", "self_us_per_op")),
-    ("lattice.rref", ("calls_per_op", "self_us_per_op", "max_entry_bits")),
-    ("lattice.rank", ("calls_per_op", "self_us_per_op")),
-    ("lattice.kernel_basis", ("self_us_per_op",)),
-    ("lattice.solve_rational", ("calls_per_op", "self_us_per_op")),
-    ("lattice.inverse", ("self_us_per_op",)),
-    ("lattice.det", ("self_us_per_op",)),
-    ("lattice.smith_normal_form", ("self_us_per_op", "max_entry_bits")),
-    ("lattice.solve_integer", ("self_us_per_op",)),
-)
-_UNITS = {"calls_per_op": "calls/op", "self_us_per_op": "us/op", "max_entry_bits": "bits",
-          "self_us": "us", "total_us": "us"}
-
-# The per-layer metrics of a traced run, in BENCHMARK.json order: (name, unit).
-PER_LAYER = (
-    [(f"{fn}.{kind}", _UNITS[kind]) for fn, kinds in _PER_OP_FUNCTIONS for kind in kinds]
-    + [("catalog.builtin_catalog.self_us", "us"), ("catalog.builtin_catalog.total_us", "us")]
-    + [(f"{module}.self_us_per_op", "us/op") for module in MODULES]
-    + [("output.run_max_bits", "bits"), ("trace.overhead_pct", "%"), ("trace.machine_speed", "ratio")]
-)
+# The per-layer metrics of a traced run, (name, unit), as BENCHMARK.json
+# lists them.  Each name is <function>.<kind> or <module>.self_us_per_op;
+# per_layer_metrics reads what to compute from the name.
+PER_LAYER = [(m["name"], m["unit"])
+             for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]]
 
 
 class Tracer:
@@ -76,11 +45,14 @@ class Tracer:
         self.spans = []   # (name, parent index, start ns, end ns, bits); name None = tracer's own work
         self.stack = []
         self.totals = {}  # name -> [calls, self ns, total ns, max bits]
-        self._patches = []
+        self._patches = self._plan()  # (owner, attribute, original, wrapper)
 
     # -------------------------------------------------------- wrapping
 
-    def install(self):
+    def _plan(self):
+        """Wrap every traced function once; install and uninstall only
+        swap them in and out, so that they are cheap enough to do around
+        every operation."""
         package = sys.modules["fmlattice"]
         modules = [sys.modules[f"fmlattice.{m}"] for m in MODULES]
         wrappers = {}
@@ -89,22 +61,22 @@ class Tracer:
                 if (not attr.startswith("_") and callable(obj) and not isinstance(obj, type)
                         and getattr(obj, "__module__", None) == module.__name__):
                     wrappers[id(obj)] = self._wrap(obj, f"{short}.{attr}")
-        for module in [package] + modules:
-            for attr, obj in list(vars(module).items()):
-                if id(obj) in wrappers:
-                    self._patch(module, attr, wrappers[id(obj)])
+        patches = [(module, attr, obj, wrappers[id(obj)])
+                   for module in [package] + modules
+                   for attr, obj in vars(module).items() if id(obj) in wrappers]
         for (short, cls_name, attr), name in METHODS.items():
             cls = getattr(sys.modules[f"fmlattice.{short}"], cls_name)
-            self._patch(cls, attr, self._wrap(cls.__dict__[attr], name))
+            original = cls.__dict__[attr]
+            patches.append((cls, attr, original, self._wrap(original, name)))
+        return patches
+
+    def install(self):
+        for owner, attr, _, wrapper in self._patches:
+            setattr(owner, attr, wrapper)
 
     def uninstall(self):
-        for owner, attr, original in reversed(self._patches):
+        for owner, attr, original, _ in self._patches:
             setattr(owner, attr, original)
-        self._patches.clear()
-
-    def _patch(self, owner, attr, wrapper):
-        self._patches.append((owner, attr, vars(owner)[attr]))
-        setattr(owner, attr, wrapper)
 
     def _wrap(self, fn, name):
         spans, stack, clock = self.spans, self.stack, time.perf_counter_ns
