@@ -14,10 +14,12 @@ loaded with --defs, repeatable, on top of the built-in catalog.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import shlex
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .averaging import random_rep, verify_ker_im
 from .catalog import EXAMPLE_IDS, Catalog, builtin_catalog, reproduce
@@ -40,130 +42,30 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """Carries the help text of -h/--help, which argparse would print and exit on."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--defs", action="append", default=[], metavar="FILE",
-                        help="load extra definitions (repeatable)")
-    common.add_argument("--records", action="store_true",
-                        help="emit machine-readable key<TAB>value lines")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 1 on mathematically negative results")
-    common.add_argument("--allow-invalid", action="store_true",
-                        help="accept covers in --defs files that fail the transfer axioms")
-
-    parser = _Parser(prog="fmlat", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("surface", parents=[common], help="surface catalog queries")
-    ssub = p.add_subparsers(dest="surface_command", metavar="show")
-    q = ssub.add_parser("show", parents=[common], help="print a surface's data")
-    q.add_argument("id")
-
-    p = sub.add_parser("chi", parents=[common], help="Euler pairing of two classes")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--e", required=True)
-    p.add_argument("--f", required=True)
-
-    p = sub.add_parser("pairing", parents=[common], help="Mukai pairing of two Mukai vectors")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
-
-    p = sub.add_parser("mukai", parents=[common], help="Mukai vector of a Chern character")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--e", required=True)
-
-    p = sub.add_parser("moduli-dim", parents=[common],
-                       help="expected moduli dimension 2 - chi(e,e)")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--e", required=True)
-
-    p = sub.add_parser("cover", parents=[common], help="cover transfer queries")
-    csub = p.add_subparsers(dest="cover_command", metavar="validate")
-    q = csub.add_parser("validate", parents=[common], help="run the five transfer axioms")
-    q.add_argument("id")
-
-    p = sub.add_parser("push", parents=[common], help="pushforward of a class on the cover")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--e", required=True)
-
-    p = sub.add_parser("pull", parents=[common], help="pullback of a class on the base")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--f", required=True)
-
-    p = sub.add_parser("adjunction", parents=[common],
-                       help="compare chi(pull f, e) with chi(f, push e)")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--e", required=True)
-
-    p = sub.add_parser("free", parents=[common], help="descent gcd certificate")
-    p.add_argument("--cover", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--vector", help="catalog vector id on the covering surface")
-    group.add_argument("--e", help="inline class on the covering surface")
-
-    p = sub.add_parser("obstruction", parents=[common],
-                       help="orbit-length divisibility obstruction")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--e", required=True)
-    p.add_argument("--m", required=True, type=int)
-
-    p = sub.add_parser("descend-map", parents=[common],
-                       help="descend an isometry of cover lattices")
-    p.add_argument("--cover-y", required=True)
-    p.add_argument("--cover-x", required=True)
-    p.add_argument("--mat", required=True, help="extended-lattice matrix [..;..]")
-
-    p = sub.add_parser("lift-map", parents=[common],
-                       help="lift an isometry of base lattices")
-    p.add_argument("--cover-y", required=True)
-    p.add_argument("--cover-x", required=True)
-    p.add_argument("--mat", required=True, help="extended-lattice matrix [..;..]")
-
-    p = sub.add_parser("equivariant", parents=[common],
-                       help="find the automorphism making an isometry equivariant")
-    p.add_argument("--action-y", required=True)
-    p.add_argument("--action-x", required=True)
-    p.add_argument("--mat", required=True, help="extended-lattice matrix [..;..]")
-
-    p = sub.add_parser("avg", parents=[common], help="averaging-identity verification")
-    asub = p.add_subparsers(dest="avg_command", metavar="verify")
-    q = asub.add_parser("verify", parents=[common],
-                        help="randomized ker(norm) = im(difference) suite")
-    q.add_argument("--trials", type=int, default=200)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--max-order", type=int, default=12)
-    q.add_argument("--max-dim", type=int, default=20)
-
-    p = sub.add_parser("reproduce", parents=[common],
-                       help="scripted reproduction of a classical example")
-    p.add_argument("id", choices=EXAMPLE_IDS)
-
-    return parser
+    def print_help(self, file=None):
+        raise _HelpShown(self.format_help())
 
 
 def _load_catalog(ns) -> Catalog:
     cat = builtin_catalog()
     for path in ns.defs:
         try:
-            text = open(path, "r", encoding="utf-8").read()
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise DefsError(f"cannot read {path}: {exc.strerror}") from None
         entries = load_definitions(text, allow_invalid=ns.allow_invalid,
                                    registry=cat.registry())
         cat = cat.extend(entries)
     return cat
-
-
-def _fmt_scalar(x) -> str:
-    return str(x)
 
 
 def _fmt_triple(r, c, s) -> str:
@@ -201,11 +103,6 @@ def _chern_arg(text: str, surface, catalog):
     return surface.character(r, c, ch2)
 
 
-def _mukai_arg(text: str, surface):
-    r, c, s = _parse_inline_triple(text, surface.dim, "Mukai vector")
-    return MukaiVector(r, c, s)
-
-
 def _get(named: dict, key: str, kind: str):
     value = named.get(key)
     if value is None:
@@ -213,265 +110,266 @@ def _get(named: dict, key: str, kind: str):
     return value
 
 
-def _emit(ns, records_lines, plain_lines):
-    return records_lines if ns.records else plain_lines
+# Handlers return (holds, lines).  A line is (key, value, plain): --records
+# prints key<TAB>value, the plain form prints plain, and a line whose plain
+# is None appears in records only.  holds=False is a negative result.
+
+def _kv(key, value, record_prefix=""):
+    """A line printed as 'key value'; booleans print as true/false."""
+    text = str(value).lower() if isinstance(value, bool) else str(value)
+    return record_prefix + key, text, f"{key} {text}"
 
 
-def _cmd_surface(ns, catalog):
-    if ns.surface_command != "show":
-        raise _UsageError("usage: surface show ID")
+def _value(key, value):
+    """The single result of a command, printed bare in plain form."""
+    return key, value, str(value)
+
+
+def _check(check, detail):
+    verdict = "pass" if check.passed else "fail"
+    return f"check.{check.name}", verdict, f"{verdict.upper()} {check.name}{detail}"
+
+
+def _surface_show(ns, catalog):
     s = _get(catalog.surfaces, ns.id, "surface")
-    plain = [
-        f"surface {s.name}",
-        f"rank {s.dim}",
-        f"intersection {_fmt_matrix(s.num.gram)}",
-        f"chi_o {s.chi_o}",
-        f"canonical_order {s.canonical_order}",
-    ]
-    records = [
-        f"surface\t{s.name}",
-        f"rank\t{s.dim}",
-        f"intersection\t{_fmt_matrix(s.num.gram)}",
-        f"chi_o\t{s.chi_o}",
-        f"canonical_order\t{s.canonical_order}",
-    ]
-    return OK, _emit(ns, records, plain)
+    return True, [_kv("surface", s.name), _kv("rank", s.dim),
+                  _kv("intersection", _fmt_matrix(s.num.gram)),
+                  _kv("chi_o", s.chi_o), _kv("canonical_order", s.canonical_order)]
 
 
-def _cmd_chi(ns, catalog):
+def _chi(ns, catalog):
     s = _get(catalog.surfaces, ns.surface, "surface")
     e = _chern_arg(ns.e, s, catalog)
     f = _chern_arg(ns.f, s, catalog)
-    value = euler_pairing(s, e, f)
-    return OK, _emit(ns, [f"chi\t{value}"], [str(value)])
+    return True, [_value("chi", euler_pairing(s, e, f))]
 
 
-def _cmd_pairing(ns, catalog):
+def _pairing(ns, catalog):
     s = _get(catalog.surfaces, ns.surface, "surface")
-    v = _mukai_arg(ns.v, s)
-    w = _mukai_arg(ns.w, s)
-    value = mukai_pairing(s, v, w)
-    return OK, _emit(ns, [f"pairing\t{value}"], [str(value)])
+    v = MukaiVector(*_parse_inline_triple(ns.v, s.dim, "Mukai vector"))
+    w = MukaiVector(*_parse_inline_triple(ns.w, s.dim, "Mukai vector"))
+    return True, [_value("pairing", mukai_pairing(s, v, w))]
 
 
-def _cmd_mukai(ns, catalog):
+def _mukai(ns, catalog):
     s = _get(catalog.surfaces, ns.surface, "surface")
-    e = _chern_arg(ns.e, s, catalog)
-    v = mukai_vector(s, e)
-    text = _fmt_triple(v.r, v.c, v.s)
-    return OK, _emit(ns, [f"mukai\t{text}"], [text])
+    v = mukai_vector(s, _chern_arg(ns.e, s, catalog))
+    return True, [_value("mukai", _fmt_triple(v.r, v.c, v.s))]
 
 
-def _cmd_moduli_dim(ns, catalog):
+def _moduli_dim(ns, catalog):
     s = _get(catalog.surfaces, ns.surface, "surface")
     e = _chern_arg(ns.e, s, catalog)
-    value = moduli_dim_expectation(s, e)
-    return OK, _emit(ns, [f"moduli_dim\t{value}"], [str(value)])
+    return True, [_value("moduli_dim", moduli_dim_expectation(s, e))]
 
 
-def _cmd_cover(ns, catalog):
-    if ns.cover_command != "validate":
-        raise _UsageError("usage: cover validate ID")
-    t = _get(catalog.covers, ns.id, "cover")
-    report = validate_cover(t)
-    plain, records = [], []
-    for check in report.checks:
-        verdict = "PASS" if check.passed else "FAIL"
-        plain.append(f"{verdict} {check.name}" + ("" if check.passed else f": {check.detail}"))
-        records.append(f"check.{check.name}\t{'pass' if check.passed else 'fail'}")
-    code = OK if report.passed else (NEGATIVE if ns.strict else OK)
-    return code, _emit(ns, records, plain)
+def _cover_validate(ns, catalog):
+    report = validate_cover(_get(catalog.covers, ns.id, "cover"))
+    return report.passed, [_check(c, "" if c.passed else f": {c.detail}") for c in report.checks]
 
 
-def _cmd_push(ns, catalog):
+def _push(ns, catalog):
     t = _get(catalog.covers, ns.cover, "cover")
-    e = _chern_arg(ns.e, t.cover, catalog)
-    v = pushforward_ch(t, e)
-    text = _fmt_triple(v.r, v.c, v.s)
-    return OK, _emit(ns, [f"push\t{text}"], [text])
+    v = pushforward_ch(t, _chern_arg(ns.e, t.cover, catalog))
+    return True, [_value("push", _fmt_triple(v.r, v.c, v.s))]
 
 
-def _cmd_pull(ns, catalog):
+def _pull(ns, catalog):
     t = _get(catalog.covers, ns.cover, "cover")
-    f = _chern_arg(ns.f, t.base, catalog)
-    v = pullback_ch(t, f)
-    text = _fmt_triple(v.r, v.c, v.s)
-    return OK, _emit(ns, [f"pull\t{text}"], [text])
+    v = pullback_ch(t, _chern_arg(ns.f, t.base, catalog))
+    return True, [_value("pull", _fmt_triple(v.r, v.c, v.s))]
 
 
-def _cmd_adjunction(ns, catalog):
+def _adjunction(ns, catalog):
     t = _get(catalog.covers, ns.cover, "cover")
     f = _chern_arg(ns.f, t.base, catalog)
     e = _chern_arg(ns.e, t.cover, catalog)
     lhs, rhs, equal = chi_adjunction_check(t, f, e)
-    plain = [f"lhs {lhs}", f"rhs {rhs}", f"equal {str(equal).lower()}"]
-    records = [f"lhs\t{lhs}", f"rhs\t{rhs}", f"equal\t{str(equal).lower()}"]
-    code = OK if equal else (NEGATIVE if ns.strict else OK)
-    return code, _emit(ns, records, plain)
+    return equal, [_kv("lhs", lhs), _kv("rhs", rhs), _kv("equal", equal)]
 
 
-def _cmd_free(ns, catalog):
+def _free(ns, catalog):
     t = _get(catalog.covers, ns.cover, "cover")
-    e = _chern_arg(ns.vector if ns.vector else ns.e, t.cover, catalog)
-    cert = freeness_gcd(t, e)
-    plain = [f"{label} {value}" for label, value in cert.values]
-    plain.append(f"gcd {cert.gcd}")
-    plain.append(f"free {str(cert.free).lower()}")
-    records = [f"value.{label}\t{value}" for label, value in cert.values]
-    records.append(f"gcd\t{cert.gcd}")
-    records.append(f"free\t{str(cert.free).lower()}")
-    code = OK if cert.free else (NEGATIVE if ns.strict else OK)
-    return code, _emit(ns, records, plain)
+    cert = freeness_gcd(t, _chern_arg(ns.vector or ns.e, t.cover, catalog))
+    lines = [_kv(label, value, "value.") for label, value in cert.values]
+    return cert.free, lines + [_kv("gcd", cert.gcd), _kv("free", cert.free)]
 
 
-def _cmd_obstruction(ns, catalog):
+def _obstruction(ns, catalog):
     t = _get(catalog.covers, ns.cover, "cover")
     e = _chern_arg(ns.e, t.cover, catalog)
     report = divisibility_obstruction(t, e, ns.m)
     if not report.applicable:
-        plain = ["applicable false", f"reason {report.reason}"]
-        records = ["applicable\tfalse", f"reason\t{report.reason}"]
-        code = NEGATIVE if ns.strict else OK
-        return code, _emit(ns, records, plain)
-    plain = ["applicable true", f"divisor {report.divisor}",
-             f"all_divisible {str(report.all_divisible).lower()}"]
-    records = ["applicable\ttrue", f"divisor\t{report.divisor}",
-               f"all_divisible\t{str(report.all_divisible).lower()}"]
-    return OK, _emit(ns, records, plain)
+        return False, [_kv("applicable", False), _kv("reason", report.reason)]
+    return True, [_kv("applicable", True), _kv("divisor", report.divisor),
+                  _kv("all_divisible", report.all_divisible)]
 
 
-def _isometry_arg(text, source, target):
-    mat = parse_matrix_text(text)
-    return LatticeIsometry(source, target, mat)
-
-
-def _cmd_descend_map(ns, catalog):
+def _descend_map(ns, catalog):
     t_y = _get(catalog.covers, ns.cover_y, "cover")
     t_x = _get(catalog.covers, ns.cover_x, "cover")
-    phi_t = _isometry_arg(ns.mat, t_y.cover, t_x.cover)
-    outcome = descend_isometry(phi_t, t_y, t_x)
+    phi = LatticeIsometry(t_y.cover, t_x.cover, parse_matrix_text(ns.mat))
+    outcome = descend_isometry(phi, t_y, t_x)
     if outcome:
-        text = _fmt_matrix(outcome.isometry.mat)
-        return OK, _emit(ns, ["descends\ttrue", f"map\t{text}"],
-                         ["descends true", f"map {text}"])
-    plain = ["descends false", f"reason {outcome.failure}"]
-    records = ["descends\tfalse", f"reason\t{outcome.failure}"]
+        return True, [_kv("descends", True), _kv("map", _fmt_matrix(outcome.isometry.mat))]
+    lines = [_kv("descends", False), _kv("reason", outcome.failure)]
     if outcome.witness:
-        src, dst = outcome.witness
-        src_text = ",".join(str(x) for x in src)
-        dst_text = ",".join(str(x) for x in dst)
-        plain.append(f"witness ({src_text}) -> ({dst_text})")
-        records.append(f"witness.source\t{src_text}")
-        records.append(f"witness.image\t{dst_text}")
-    code = NEGATIVE if ns.strict else OK
-    return code, _emit(ns, records, plain)
+        src, dst = (",".join(str(x) for x in v) for v in outcome.witness)
+        lines += [("witness.source", src, f"witness ({src}) -> ({dst})"),
+                  ("witness.image", dst, None)]
+    return False, lines
 
 
-def _cmd_lift_map(ns, catalog):
+def _lift_map(ns, catalog):
     t_y = _get(catalog.covers, ns.cover_y, "cover")
     t_x = _get(catalog.covers, ns.cover_x, "cover")
-    phi = _isometry_arg(ns.mat, t_y.base, t_x.base)
+    phi = LatticeIsometry(t_y.base, t_x.base, parse_matrix_text(ns.mat))
     result = lift_isometry(phi, t_y, t_x)
     if isinstance(result, LiftFamily):
-        plain = ["lifts family",
-                 f"particular {_fmt_matrix(result.particular)}"]
-        records = ["lifts\tfamily",
-                   f"family.particular\t{_fmt_matrix(result.particular)}"]
-        for i, direction in enumerate(result.directions, 1):
-            plain.append(f"direction.{i} {_fmt_matrix(direction)}")
-            records.append(f"family.direction.{i}\t{_fmt_matrix(direction)}")
-        return OK, _emit(ns, records, plain)
-    plain = [f"lifts {len(result)}"]
-    records = [f"lifts\t{len(result)}"]
-    for i, iso in enumerate(result, 1):
-        plain.append(f"lift.{i} {_fmt_matrix(iso.mat)}")
-        records.append(f"lift.{i}\t{_fmt_matrix(iso.mat)}")
-    code = OK if result else (NEGATIVE if ns.strict else OK)
-    return code, _emit(ns, records, plain)
+        lines = [_kv("lifts", "family"),
+                 _kv("particular", _fmt_matrix(result.particular), "family.")]
+        return True, lines + [_kv(f"direction.{i}", _fmt_matrix(d), "family.")
+                              for i, d in enumerate(result.directions, 1)]
+    return bool(result), [_kv("lifts", len(result))] + [
+        _kv(f"lift.{i}", _fmt_matrix(iso.mat)) for i, iso in enumerate(result, 1)]
 
 
-def _cmd_equivariant(ns, catalog):
+def _equivariant(ns, catalog):
     a_y = _get(catalog.actions, ns.action_y, "action")
     a_x = _get(catalog.actions, ns.action_x, "action")
-    phi = _isometry_arg(ns.mat, a_y.surface, a_x.surface)
+    phi = LatticeIsometry(a_y.surface, a_x.surface, parse_matrix_text(ns.mat))
     exponents = check_equivariant(phi, a_y, a_x)
     if exponents is None:
-        code = NEGATIVE if ns.strict else OK
-        return code, _emit(ns, ["equivariant\tfalse"], ["equivariant false"])
-    text = ",".join(str(k) for k in exponents)
-    return OK, _emit(ns, ["equivariant\ttrue", f"mu\t{text}"],
-                     ["equivariant true", f"mu {text}"])
+        return False, [_kv("equivariant", False)]
+    return True, [_kv("equivariant", True), _kv("mu", ",".join(str(k) for k in exponents))]
 
 
-def _cmd_avg(ns, catalog):
-    if ns.avg_command != "verify":
-        raise _UsageError("usage: avg verify [--trials N --seed S ...]")
+def _avg_verify(ns, catalog):
     if ns.trials < 1:
         raise DefsError("--trials must be positive")
     rng = random.Random(ns.seed)
-    failures = 0
-    for _ in range(ns.trials):
-        rep = random_rep(rng, max_order=ns.max_order, max_dim=ns.max_dim)
-        report = verify_ker_im(rep)
-        if not report.holds:
-            failures += 1
-    plain = [f"trials {ns.trials}", f"failures {failures}",
-             f"all_hold {str(failures == 0).lower()}"]
-    records = [f"trials\t{ns.trials}", f"failures\t{failures}",
-               f"all_hold\t{str(failures == 0).lower()}"]
-    code = OK if failures == 0 else (NEGATIVE if ns.strict else OK)
-    return code, _emit(ns, records, plain)
+    reps = (random_rep(rng, max_order=ns.max_order, max_dim=ns.max_dim) for _ in range(ns.trials))
+    failures = sum(not verify_ker_im(rep).holds for rep in reps)
+    return failures == 0, [_kv("trials", ns.trials), _kv("failures", failures),
+                           _kv("all_hold", failures == 0)]
 
 
-def _cmd_reproduce(ns, catalog):
+def _reproduce(ns, catalog):
     report = reproduce(ns.id, catalog)
-    plain, records = [], []
-    for check in report.checks:
-        verdict = "PASS" if check.passed else "FAIL"
-        plain.append(f"{verdict} {check.name}: computed {check.computed}, "
-                     f"expected {check.expected}")
-        records.append(f"check.{check.name}\t{'pass' if check.passed else 'fail'}")
-        records.append(f"computed.{check.name}\t{check.computed}")
-    plain.append(f"result {'PASS' if report.passed else 'FAIL'}")
-    records.append(f"result\t{'pass' if report.passed else 'fail'}")
-    code = OK if report.passed else (NEGATIVE if ns.strict else OK)
-    return code, _emit(ns, records, plain)
+    lines = []
+    for c in report.checks:
+        lines += [_check(c, f": computed {c.computed}, expected {c.expected}"),
+                  (f"computed.{c.name}", c.computed, None)]
+    verdict = "pass" if report.passed else "fail"
+    return report.passed, lines + [("result", verdict, f"result {verdict.upper()}")]
 
 
-_HANDLERS = {
-    "surface": _cmd_surface,
-    "chi": _cmd_chi,
-    "pairing": _cmd_pairing,
-    "mukai": _cmd_mukai,
-    "moduli-dim": _cmd_moduli_dim,
-    "cover": _cmd_cover,
-    "push": _cmd_push,
-    "pull": _cmd_pull,
-    "adjunction": _cmd_adjunction,
-    "free": _cmd_free,
-    "obstruction": _cmd_obstruction,
-    "descend-map": _cmd_descend_map,
-    "lift-map": _cmd_lift_map,
-    "equivariant": _cmd_equivariant,
-    "avg": _cmd_avg,
-    "reproduce": _cmd_reproduce,
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    args: list
+    leaf: tuple = ()  # (name, help, usage) of a single nested sub-subcommand
+
+
+# An argument is a flag, which names a required option, or a pair (flag,
+# add_argument keywords); a list of pairs is a required choice of exactly
+# one.  The common flags go on every leaf parser, the one that takes the
+# command's own arguments.
+_MAT = ("--mat", {"required": True, "help": "extended-lattice matrix [..;..]"})
+_COMMON = [
+    ("--defs", {"action": "append", "default": [], "metavar": "FILE",
+                "help": "load extra definitions (repeatable)"}),
+    ("--records", {"action": "store_true", "help": "emit machine-readable key<TAB>value lines"}),
+    ("--strict", {"action": "store_true", "help": "exit 1 on mathematically negative results"}),
+    ("--allow-invalid", {"action": "store_true",
+                         "help": "accept covers in --defs files that fail the transfer axioms"}),
+]
+
+_COMMANDS = {
+    "surface": _Command(_surface_show, "surface catalog queries", [("id", {})],
+                        ("show", "print a surface's data", "ID")),
+    "chi": _Command(_chi, "Euler pairing of two classes", ["--surface", "--e", "--f"]),
+    "pairing": _Command(_pairing, "Mukai pairing of two Mukai vectors",
+                        ["--surface", "--v", "--w"]),
+    "mukai": _Command(_mukai, "Mukai vector of a Chern character", ["--surface", "--e"]),
+    "moduli-dim": _Command(_moduli_dim, "expected moduli dimension 2 - chi(e,e)",
+                           ["--surface", "--e"]),
+    "cover": _Command(_cover_validate, "cover transfer queries", [("id", {})],
+                      ("validate", "run the five transfer axioms", "ID")),
+    "push": _Command(_push, "pushforward of a class on the cover", ["--cover", "--e"]),
+    "pull": _Command(_pull, "pullback of a class on the base", ["--cover", "--f"]),
+    "adjunction": _Command(_adjunction, "compare chi(pull f, e) with chi(f, push e)",
+                           ["--cover", "--f", "--e"]),
+    "free": _Command(_free, "descent gcd certificate",
+                     ["--cover",
+                      [("--vector", {"help": "catalog vector id on the covering surface"}),
+                       ("--e", {"help": "inline class on the covering surface"})]]),
+    "obstruction": _Command(_obstruction, "orbit-length divisibility obstruction",
+                            ["--cover", "--e", ("--m", {"required": True, "type": int})]),
+    "descend-map": _Command(_descend_map, "descend an isometry of cover lattices",
+                            ["--cover-y", "--cover-x", _MAT]),
+    "lift-map": _Command(_lift_map, "lift an isometry of base lattices",
+                         ["--cover-y", "--cover-x", _MAT]),
+    "equivariant": _Command(_equivariant, "find the automorphism making an isometry equivariant",
+                            ["--action-y", "--action-x", _MAT]),
+    "avg": _Command(_avg_verify, "averaging-identity verification",
+                    [("--trials", {"type": int, "default": 200}),
+                     ("--seed", {"type": int, "default": 0}),
+                     ("--max-order", {"type": int, "default": 12}),
+                     ("--max-dim", {"type": int, "default": 20})],
+                    ("verify", "randomized ker(norm) = im(difference) suite",
+                     "[--trials N --seed S ...]")),
+    "reproduce": _Command(_reproduce, "scripted reproduction of a classical example",
+                          [("id", {"choices": EXAMPLE_IDS})]),
 }
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use.  parse_args leaves it unchanged, so
+    all calls and threads share it."""
+    parser = _Parser(prog="fmlat", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, cmd in _COMMANDS.items():
+        p = commands.add_parser(name, help=cmd.help)
+        if cmd.leaf:
+            leaf, leaf_help, _ = cmd.leaf
+            p = p.add_subparsers(dest="leaf", metavar=leaf).add_parser(leaf, help=leaf_help)
+        for spec in _COMMON + cmd.args:
+            if isinstance(spec, str):
+                p.add_argument(spec, required=True)
+            elif isinstance(spec, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, kw in spec:
+                    group.add_argument(flag, **kw)
+            else:
+                p.add_argument(spec[0], **spec[1])
+    return parser
 
 
 def run_cli(argv) -> tuple:
     """Run one command; returns (exit_code, output_text)."""
-    parser = _build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(list(argv))
         if ns.command is None:
-            return INPUT_ERROR, parser.format_usage() + "error: a command is required\n"
-        handler = _HANDLERS[ns.command]
-        code, lines = handler(ns, _load_catalog(ns))
-        return code, "".join(line + "\n" for line in lines)
+            raise _UsageError("a command is required")
+        cmd = _COMMANDS[ns.command]
+        if cmd.leaf and ns.leaf is None:
+            raise _UsageError(f"usage: {ns.command} {cmd.leaf[0]} {cmd.leaf[2]}")
+        holds, lines = cmd.handler(ns, _load_catalog(ns))
+        if ns.records:
+            text = "".join(f"{key}\t{value}\n" for key, value, _ in lines)
+        else:
+            text = "".join(plain + "\n" for _, _, plain in lines if plain is not None)
+    except _HelpShown as exc:
+        return OK, str(exc)
     except _UsageError as exc:
         return INPUT_ERROR, parser.format_usage() + f"error: {exc}\n"
     except (DefsError, ValueError, TypeError) as exc:
         return INPUT_ERROR, f"error: {exc}\n"
+    return (NEGATIVE if ns.strict and not holds else OK), text
 
 
 def run_script(text: str) -> tuple:

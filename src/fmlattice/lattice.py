@@ -50,20 +50,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    if len(u) != len(v):
-        raise DimensionError("vectors of unequal length")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(k, u):
-    return tuple(_exact(k * x) for x in u)
-
-
-def is_integral_vector(u) -> bool:
-    return all(isinstance(x, int) for x in (_exact(e) for e in u))
-
-
 class Matrix:
     """An immutable matrix with exact (int / Fraction) entries."""
 
@@ -196,18 +182,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = ";".join(",".join(str(x) for x in row) for row in self._e)
         return f"Matrix[{body}]"
-
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.nrows != b.nrows:
-        raise DimensionError("row count mismatch in hstack")
-    return Matrix([ra + rb for ra, rb in zip(a.entries, b.entries)])
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.ncols:
-        raise DimensionError("column count mismatch in vstack")
-    return Matrix(a.entries + b.entries)
 
 
 def block_diagonal(blocks) -> Matrix:

@@ -1,6 +1,9 @@
+import sys
+import threading
+
 import pytest
 
-from fmlattice.cli import run_cli, run_script
+from fmlattice.cli import main, run_cli, run_script
 
 
 def run(*argv):
@@ -234,3 +237,104 @@ reproduce ex5.3 --records
         code, out = first
         assert code == 0
         assert out.startswith("$ chi")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["chi", "--help"], ["surface", "-h"],
+                                      ["surface", "show", "-h"], ["avg", "verify", "--help"]])
+    def test_help_is_returned_not_printed(self, argv, capsys):
+        code, out = run(*argv)
+        assert code == 0
+        assert out.startswith("usage: fmlat")
+        assert "show this help message and exit" in out
+        assert capsys.readouterr().out == ""
+
+    def test_help_line_does_not_end_a_session(self):
+        code, out = run_script("chi -h\nchi --surface abelian_ppav --e 1,0;0 --f 4,2;1\n")
+        assert code == 0
+        assert out.startswith("$ chi -h\nusage: fmlat chi ")
+        assert out.endswith("$ chi --surface abelian_ppav --e 1,0;0 --f 4,2;1\n1\n")
+
+    def test_main_prints_help_and_exits_zero(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["fmlat", "chi", "-h"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == run("chi", "-h")[1]
+
+
+class TestFlagPlacement:
+    """Common flags belong after the full subcommand; placed before a
+    sub-subcommand they are rejected, not silently dropped."""
+
+    @pytest.mark.parametrize("argv", [
+        ["surface", "--defs=extra.defs", "show", "enriques_toy"],
+        ["surface", "--records", "show", "enriques_toy"],
+        ["cover", "--strict", "validate", "bielliptic_cover_2"],
+        ["avg", "--allow-invalid", "verify", "--trials", "1"],
+    ])
+    def test_common_flag_before_leaf_is_rejected(self, argv):
+        code, out = run(*argv)
+        assert code == 2
+        assert out.endswith(f"error: unrecognized arguments: {argv[1]}\n")
+
+    def test_defs_before_leaf_is_rejected(self, tmp_path):
+        defs = tmp_path / "extra.defs"
+        defs.write_text("surface my_k3 {\n  rank 1\n  intersection [6]\n"
+                        "  chi_o 2\n  canonical_order 1\n}\n")
+        code, out = run("surface", "--defs", str(defs), "show", "my_k3")
+        assert code == 2
+        assert "error: " in out
+        code, out = run("surface", "show", "my_k3", "--defs", str(defs), "--records")
+        assert code == 0
+        assert out.splitlines()[:2] == ["surface\tmy_k3", "rank\t1"]
+
+
+SESSION = [
+    ["chi", "--surface", "abelian_ppav", "--e", "1,0;0", "--f", "4,2;1"],
+    ["surface", "show", "bielliptic_4", "--records"],
+    ["cover", "validate", "bielliptic_cover_6"],
+    ["free", "--cover", "bielliptic_cover_2", "--e", "1,0,0;0", "--strict"],
+    ["descend-map", "--cover-y", "bielliptic_cover_2", "--cover-x", "bielliptic_cover_2",
+     "--mat", "[1,0,0,0;0,0,1,0;0,1,0,0;0,0,0,1]", "--records"],
+    ["lift-map", "--cover-y", "bielliptic_cover_3", "--cover-x", "bielliptic_cover_3",
+     "--mat", "[1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1]"],
+    ["equivariant", "--action-y", "swap", "--action-x", "swap",
+     "--mat", "[1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1]", "--records"],
+    ["avg", "verify", "--trials", "2", "--seed", "5", "--max-order", "4", "--max-dim", "4"],
+    ["reproduce", "ex3.6", "--records"],
+    ["pairing", "--surface", "k3_toy", "--v", "1,0;1", "--w", "2,1;-1/2"],
+    ["chi", "--surface", "nowhere", "--e", "1;0", "--f", "1;0"],
+    ["cover", "--strict", "validate", "bielliptic_cover_2"],
+    ["obstruction", "--cover", "bielliptic_cover_2", "--e", "poincare"],
+    ["mukai", "--help"],
+    [],
+]
+
+
+def test_threads_share_the_parser_safely():
+    threads_n = 8
+    serial = [run_cli(argv) for argv in SESSION]
+    results = [None] * threads_n
+    barrier = threading.Barrier(threads_n)
+
+    def work(i):
+        # each thread runs the session from a different starting line
+        order = SESSION[i:] + SESSION[:i]
+        barrier.wait(timeout=30)
+        results[i] = [run_cli(argv) for argv in order for _ in range(3)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i, got in enumerate(results):
+        expected = serial[i:] + serial[:i]
+        assert got == [r for r in expected for _ in range(3)]

@@ -10,7 +10,6 @@ from fmlattice.lattice import (
     Matrix,
     det,
     gcd_all,
-    hstack,
     in_column_space,
     inverse,
     is_unimodular,
@@ -245,9 +244,3 @@ def test_column_space_membership():
     m = Matrix([[1, 0], [0, 0]])
     assert in_column_space(m, (3, 0))
     assert not in_column_space(m, (0, 1))
-
-
-def test_hstack():
-    a = Matrix([[1], [2]])
-    b = Matrix([[3], [4]])
-    assert hstack(a, b) == Matrix([[1, 3], [2, 4]])
