@@ -30,9 +30,10 @@ from .lattice import (
     Matrix,
     _exact,
     block_diagonal,
-    kernel_basis,
     rank,
+    rref,
     solve_rational,
+    vector,
 )
 from .surfaces import InvariantError
 
@@ -55,11 +56,18 @@ class CyclicRep:
 
 
 def norm_operator(rep: CyclicRep) -> Matrix:
-    """Sum of all powers of the generator."""
-    total = Matrix.identity(rep.dim)
-    current = Matrix.identity(rep.dim)
-    for _ in range(rep.order - 1):
+    """Sum of all powers of the generator.
+
+    The sum runs over the generator's true order t, the first k >= 1 with
+    g^k = 1, which divides the stated order; each power g^k then occurs
+    order / t times in the full sum.
+    """
+    one = Matrix.identity(rep.dim)
+    total = current = one
+    for t in range(1, rep.order):
         current = current @ rep.gen
+        if current == one:
+            return total.scale(rep.order // t)
         total = total + current
     return total
 
@@ -88,9 +96,9 @@ def verify_ker_im(rep: CyclicRep) -> KerImReport:
     zero = Matrix.zero(rep.dim, rep.dim)
     if n_op @ b_op != zero or b_op @ n_op != zero:
         raise InvariantError("norm and difference operators fail to annihilate each other")
-    ker = kernel_basis(n_op)
+    dim_ker = rep.dim - rank(n_op)
     rank_b = rank(b_op)
-    return KerImReport(len(ker) == rank_b, len(ker), rank_b)
+    return KerImReport(dim_ker == rank_b, dim_ker, rank_b)
 
 
 def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
@@ -100,24 +108,28 @@ def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
     span is stable under the generator, and B s lies in it.  The result t
     satisfies B t = 0 and t - s in span(subspace).
     """
-    vecs = [tuple(Fraction(x) for x in v) for v in subspace]
+    vecs = [vector(v) for v in subspace]
     if any(len(v) != rep.dim for v in vecs):
         raise DimensionError("subspace vectors must have the representation's dimension")
     if len(s) != rep.dim:
         raise DimensionError("vector must have the representation's dimension")
-    s = tuple(Fraction(x) for x in s)
+    s = vector(s)
     b_op = difference_operator(rep)
+    bs = b_op.apply(s)
     if not vecs:
-        bs = b_op.apply(s)
         if any(bs):
             raise ValueError("B s does not lie in the subspace")
         return s
+    # One elimination of [S | gS | Bs] decides both preconditions: a pivot
+    # among the gS columns is an image g v outside span(S), and once the
+    # span is stable, a pivot in the last column is B s outside it.
     span = Matrix.from_columns(vecs)
-    for v in vecs:
-        if solve_rational(span, rep.gen.apply(v)) is None:
-            raise ValueError("subspace is not stable under the group generator")
-    bs = b_op.apply(s)
-    if solve_rational(span, bs) is None:
+    m = len(vecs)
+    stacked = Matrix([a + b + (c,) for a, b, c in zip(span.entries, (rep.gen @ span).entries, bs)])
+    pivots = rref(stacked)[1]
+    if any(m <= p < 2 * m for p in pivots):
+        raise ValueError("subspace is not stable under the group generator")
+    if 2 * m in pivots:
         raise ValueError("B s does not lie in the subspace")
     # Bs is in the subspace and killed by the norm, hence in B(subspace)
     coeffs = solve_rational(b_op @ span, bs)

@@ -190,7 +190,8 @@ def _adjunction(ns, catalog):
 
 def _free(ns, catalog):
     t = _get(catalog.covers, ns.cover, "cover")
-    cert = freeness_gcd(t, _chern_arg(ns.vector or ns.e, t.cover, catalog))
+    text = ns.e if ns.vector is None else ns.vector
+    cert = freeness_gcd(t, _chern_arg(text, t.cover, catalog))
     lines = [_kv(label, value, "value.") for label, value in cert.values]
     return cert.free, lines + [_kv("gcd", cert.gcd), _kv("free", cert.free)]
 

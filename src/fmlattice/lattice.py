@@ -7,15 +7,19 @@ all of this is safe to use from concurrent code without locking.
 
 The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool:
-Gaussian elimination over Q, fraction-free (Bareiss) elimination for
-integer determinants and ranks, and pivot-and-reduce Smith normal form.
+fraction-free elimination for reduced row-echelon forms (and so for
+kernels and rational solutions) and for integer determinants and ranks
+(Bareiss), Gaussian elimination over Q for inverses and rational
+determinants, and pivot-and-reduce Smith normal form.  Matrices the
+kernel computes itself (sums and products of integer matrices,
+negations, transposes, reduced forms) skip the per-entry check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class DimensionError(ValueError):
@@ -53,7 +57,7 @@ def dot(u, v):
 class Matrix:
     """An immutable matrix with exact (int / Fraction) entries."""
 
-    __slots__ = ("nrows", "ncols", "_e")
+    __slots__ = ("nrows", "ncols", "_e", "_integral")
 
     def __init__(self, rows):
         data = tuple(tuple(_exact(x) for x in row) for row in rows)
@@ -65,6 +69,19 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = width
         self._e = data
+        self._integral = all(isinstance(x, int) for row in data for x in row)
+
+    @classmethod
+    def _trusted(cls, rows, integral: bool) -> "Matrix":
+        """A matrix from rows the kernel has just computed: a nonempty
+        tuple of equal-length nonempty tuples of normalised entries, all of
+        them ints exactly when integral is true.  No entry is checked."""
+        m = object.__new__(cls)
+        m.nrows = len(rows)
+        m.ncols = len(rows[0])
+        m._e = rows
+        m._integral = integral
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -106,11 +123,11 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix([[self._e[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return Matrix._trusted(tuple(zip(*self._e)), self._integral)
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self._e for x in row)
+        return self._integral
 
     @property
     def is_square(self) -> bool:
@@ -129,8 +146,8 @@ class Matrix:
                     if a and b:
                         acc += a * b
                 out_row.append(acc)
-            out.append(out_row)
-        return Matrix(out)
+            out.append(tuple(out_row))
+        return self._result(tuple(out), other)
 
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
@@ -140,19 +157,28 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in addition")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        return self._result(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                  for r1, r2 in zip(self._e, other._e)), other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in subtraction")
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        return self._result(tuple(tuple(a - b for a, b in zip(r1, r2))
+                                  for r1, r2 in zip(self._e, other._e)), other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self._e])
+        return Matrix._trusted(tuple(tuple(-x for x in row) for row in self._e), self._integral)
 
     def scale(self, k) -> "Matrix":
         k = _exact(k if not isinstance(k, str) else Fraction(k))
         return Matrix([[k * x for x in row] for row in self._e])
+
+    def _result(self, rows, other) -> "Matrix":
+        # Sums and products of ints are ints; with a Fraction operand an
+        # entry may come out as a Fraction with denominator 1, so normalise.
+        if self._integral and other._integral:
+            return Matrix._trusted(rows, True)
+        return Matrix(rows)
 
     def __rmul__(self, k) -> "Matrix":
         return self.scale(k)
@@ -266,27 +292,54 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def rref(m: Matrix) -> tuple:
-    """Reduced row-echelon form over Q; returns (matrix, pivot columns)."""
-    a = [[Fraction(x) for x in row] for row in m.entries]
+    """Reduced row-echelon form over Q; returns (matrix, pivot columns).
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers, rows stay
+    integral and primitive (their gcd divided out) while they are
+    eliminated against each other, and each pivot row is divided by its
+    pivot once at the end.  Row scalings do not change the reduced form,
+    which is unique, so this is the same matrix as elimination over Q.
+    """
+    if m.is_integral:
+        a = [list(row) for row in m.entries]
+    else:
+        a = []
+        for row in m.entries:
+            den = lcm(*(x.denominator for x in row))
+            a.append([x.numerator * (den // x.denominator) for x in row])
     nrows, ncols = m.nrows, m.ncols
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv if x else x for x in a[r]]
+        prow = a[r]
         for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                g = gcd(prow[c], f)
+                p, f = prow[c] // g, f // g
+                row = [p * x - f * y for x, y in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Matrix(a), tuple(pivots)
+    integral = True
+    for i, c in enumerate(pivots):
+        p = a[i][c]
+        row = a[i]
+        for j, x in enumerate(row):
+            q, rem = divmod(x, p)
+            if rem:
+                row[j] = Fraction(x, p)
+                integral = False
+            else:
+                row[j] = q
+    return Matrix._trusted(tuple(map(tuple, a)), integral), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

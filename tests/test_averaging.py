@@ -35,6 +35,11 @@ class TestOperators:
         rep = CyclicRep(1, 3, Matrix.identity(3))
         assert norm_operator(rep) == Matrix.identity(3)
 
+    def test_norm_stops_at_the_true_order(self):
+        # the stated order is only known to be a multiple of the true one
+        assert norm_operator(CyclicRep(12, 2, Matrix([[0, 1], [1, 0]]))) == Matrix([[6, 6], [6, 6]])
+        assert norm_operator(CyclicRep(10**9, 1, Matrix([[1]]))) == Matrix([[10**9]])
+
     def test_trivial_rep_difference(self):
         rep = CyclicRep(2, 2, Matrix.identity(2))
         assert difference_operator(rep) == Matrix.zero(2, 2)
@@ -54,6 +59,11 @@ class TestKerIm:
             report = verify_ker_im(CyclicRep(4, d, Matrix.identity(d)))
             assert report.holds
             assert report.dim_ker_norm == 0 and report.rank_difference == 0
+
+    def test_huge_stated_order_returns(self):
+        report = verify_ker_im(CyclicRep(10**9, 2, Matrix.identity(2)))
+        assert report.holds
+        assert report.dim_ker_norm == 0 and report.rank_difference == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12])
     def test_regular_reps(self, n):
@@ -136,6 +146,13 @@ class TestDescendInvariant:
             diff = tuple(a - bb for a, bb in zip(s, t))
             assert solve_rational(M.from_columns(cols), diff) is not None
             checked += 1
+
+    def test_empty_subspace_returns_normalised_entries(self):
+        rep = CyclicRep(2, 2, Matrix.identity(2))
+        t = descend_invariant(rep, [], (Fraction(1), Fraction(4, 2)))
+        assert t == (1, 2) and all(type(x) is int for x in t)
+        t = descend_invariant(rep, [], (Fraction(1, 2), 3))
+        assert t == (Fraction(1, 2), 3) and type(t[1]) is int
 
     def test_unstable_subspace_rejected(self):
         rep = regular_rep(3)

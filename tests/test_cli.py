@@ -199,6 +199,11 @@ class TestErrorsAndDeterminism:
         code, out = run("chi", "--surface", "k3_toy", "--e", "1,0;1/2", "--f", "1,0;0")
         assert code == 2
 
+    def test_free_empty_vector_is_input_error(self):
+        code, out = run("free", "--cover", "bielliptic_cover_2", "--vector", "")
+        assert code == 2
+        assert out.startswith("error: bad class ''")
+
     def test_missing_defs_file(self):
         code, out = run("chi", "--surface", "k3_toy", "--e", "1,0;0", "--f", "1,0;0",
                         "--defs", "/nonexistent/file.defs")

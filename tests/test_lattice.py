@@ -69,6 +69,18 @@ class TestMatrixBasics:
         m = Matrix([[Fraction(4, 2)]])
         assert isinstance(m[0, 0], int) and m[0, 0] == 2
 
+    def test_computed_matrices_are_normalised(self):
+        half = Matrix([[Fraction(1, 2), 1]])
+        assert not half.is_integral and not (-half).is_integral and not half.T.is_integral
+        for m in (half @ Matrix([[2], [0]]), half + half, half.scale(2)):
+            assert m.is_integral and all(isinstance(x, int) for row in m.entries for x in row)
+        a = Matrix([[1, 2], [3, 4]])
+        for m in (a @ a, a + a, a - a, -a, a.T, a.scale(3), rref(a)[0],
+                  Matrix.identity(2), Matrix.zero(2, 3)):
+            assert m.is_integral and all(isinstance(x, int) for row in m.entries for x in row)
+        reduced = rref(Matrix([[2, 1], [4, 2]]))[0]
+        assert reduced == Matrix([[1, Fraction(1, 2)], [0, 0]]) and not reduced.is_integral
+
     def test_power(self):
         s = Matrix([[0, 1], [1, 0]])
         assert s.power(0) == Matrix.identity(2)
