@@ -14,7 +14,6 @@ from .averaging import (
 from .catalog import Catalog, builtin_catalog, reproduce
 from .covers import (
     CoverTransfer,
-    ExtendedVector,
     chi_adjunction_check,
     pullback_ch,
     pushforward_ch,
@@ -37,6 +36,7 @@ from .lattice import (
 )
 from .surfaces import (
     ChernCharacter,
+    ExtendedVector,
     MukaiVector,
     NumericalSurface,
     euler_pairing,

@@ -10,7 +10,7 @@ reports every computed number next to its expected value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .covers import pushforward_ch
@@ -21,28 +21,29 @@ from .surfaces import euler_pairing, moduli_dim_expectation
 
 @dataclass(frozen=True)
 class Catalog:
-    """Validated catalog entries indexed by kind."""
+    """Validated catalog entries indexed by kind.
+
+    Each per-kind dict (id -> payload) is built on first access and then
+    shared; treat it as read-only.
+    """
 
     entries: tuple
 
-    def _of_kind(self, kind):
-        return {e.id: e.payload for e in self.entries if e.kind == kind}
-
-    @property
+    @cached_property
     def surfaces(self) -> dict:
-        return self._of_kind("surface")
+        return {e.id: e.payload for e in self.entries if e.kind == "surface"}
 
-    @property
+    @cached_property
     def covers(self) -> dict:
-        return self._of_kind("cover")
+        return {e.id: e.payload for e in self.entries if e.kind == "cover"}
 
-    @property
+    @cached_property
     def vectors(self) -> dict:
-        return self._of_kind("vector")
+        return {e.id: e.payload for e in self.entries if e.kind == "vector"}
 
-    @property
+    @cached_property
     def actions(self) -> dict:
-        return self._of_kind("action")
+        return {e.id: e.payload for e in self.entries if e.kind == "action"}
 
     def registry(self) -> dict:
         return {e.id: e for e in self.entries}

@@ -26,7 +26,7 @@ from .catalog import EXAMPLE_IDS, Catalog, builtin_catalog, reproduce
 from .covers import chi_adjunction_check, pullback_ch, pushforward_ch, validate_cover
 from .defsio import DefsError, load_definitions, parse_matrix_text
 from .descent import divisibility_obstruction, freeness_gcd
-from .surfaces import MukaiVector, euler_pairing, moduli_dim_expectation, mukai_pairing, mukai_vector
+from .surfaces import ExtendedVector, euler_pairing, moduli_dim_expectation, mukai_pairing, mukai_vector
 from .transport import (
     LatticeIsometry,
     LiftFamily,
@@ -146,8 +146,8 @@ def _chi(ns, catalog):
 
 def _pairing(ns, catalog):
     s = _get(catalog.surfaces, ns.surface, "surface")
-    v = MukaiVector(*_parse_inline_triple(ns.v, s.dim, "Mukai vector"))
-    w = MukaiVector(*_parse_inline_triple(ns.w, s.dim, "Mukai vector"))
+    v = ExtendedVector(*_parse_inline_triple(ns.v, s.dim, "Mukai vector"))
+    w = ExtendedVector(*_parse_inline_triple(ns.w, s.dim, "Mukai vector"))
     return True, [_value("pairing", mukai_pairing(s, v, w))]
 
 

@@ -21,46 +21,19 @@ opposite.  Transfer matrices on Num are supplied data, never inferred --
 the axioms do not determine them, genuine geometry does.  validate_cover
 reports each axiom separately with a witness instead of throwing, so that
 broken transfers can be inspected.
+
+The transfers act the same way on Chern characters and on Mukai vectors,
+so pullback_ch and pushforward_ch take and return the one value type of
+the extended lattice, surfaces.ExtendedVector (also importable from
+here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import DimensionError, Matrix, block_diagonal
-from .surfaces import ChernCharacter, NumericalSurface, _rank_div_deg, euler_pairing
-
-
-@dataclass(frozen=True)
-class ExtendedVector:
-    """A vector of the extended lattice H^0 + Num + H^4.
-
-    Interchangeable by role with ChernCharacter and MukaiVector: the
-    transfer maps act the same way on plain and sqrt(td)-twisted
-    characters, so one carrier type serves both.
-    """
-
-    r: int
-    c: tuple
-    s: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
-        object.__setattr__(self, "s", Fraction(self.s))
-
-    def coords(self) -> tuple:
-        return (self.r,) + self.c + (self.s,)
-
-    @classmethod
-    def from_coords(cls, coords) -> "ExtendedVector":
-        return cls(coords[0], tuple(coords[1:-1]), coords[-1])
-
-
-def as_extended(v) -> ExtendedVector:
-    r, c, s = _rank_div_deg(v)
-    return ExtendedVector(r, c, s)
+from .surfaces import ExtendedVector, NumericalSurface, euler_pairing
 
 
 @dataclass(frozen=True)
@@ -119,10 +92,6 @@ class CoverValidation:
 
     def failed_names(self) -> list:
         return [c.name for c in self.checks if not c.passed]
-
-
-def _basis_name(prefix: str, j: int) -> str:
-    return f"{prefix}{j + 1}"
 
 
 def validate_cover(t: CoverTransfer) -> CoverValidation:
@@ -185,20 +154,18 @@ def validate_cover(t: CoverTransfer) -> CoverValidation:
     return CoverValidation(tuple(checks))
 
 
-def pullback_ch(t: CoverTransfer, e) -> ExtendedVector:
+def pullback_ch(t: CoverTransfer, e: ExtendedVector) -> ExtendedVector:
     """Pull a class back along the cover: (r, pull c, n s)."""
-    v = as_extended(e)
-    if len(v.c) != t.base.dim:
+    if len(e.c) != t.base.dim:
         raise DimensionError(f"class does not live on {t.base.name}")
-    return ExtendedVector(v.r, t.pull_num.apply(v.c), t.degree * v.s)
+    return ExtendedVector(e.r, t.pull_num.apply(e.c), t.degree * e.s)
 
 
-def pushforward_ch(t: CoverTransfer, e) -> ExtendedVector:
+def pushforward_ch(t: CoverTransfer, e: ExtendedVector) -> ExtendedVector:
     """Push a class forward along the cover: (n r, push c, s)."""
-    v = as_extended(e)
-    if len(v.c) != t.cover.dim:
+    if len(e.c) != t.cover.dim:
         raise DimensionError(f"class does not live on {t.cover.name}")
-    return ExtendedVector(t.degree * v.r, t.push_num.apply(v.c), v.s)
+    return ExtendedVector(t.degree * e.r, t.push_num.apply(e.c), e.s)
 
 
 def chi_adjunction_check(t: CoverTransfer, f, e) -> tuple:
@@ -208,6 +175,6 @@ def chi_adjunction_check(t: CoverTransfer, f, e) -> tuple:
     form of the pullback/pushforward adjunction and holds for every
     transfer satisfying the five axioms.
     """
-    lhs = euler_pairing(t.cover, pullback_ch(t, f), as_extended(e))
-    rhs = euler_pairing(t.base, as_extended(f), pushforward_ch(t, e))
+    lhs = euler_pairing(t.cover, pullback_ch(t, f), e)
+    rhs = euler_pairing(t.base, f, pushforward_ch(t, e))
     return lhs, rhs, lhs == rhs

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .covers import CoverTransfer, validate_cover
 from .lattice import BilinearForm, Matrix
-from .surfaces import ChernCharacter, NumericalSurface
+from .surfaces import ExtendedVector, NumericalSurface
 from .transport import GActionLattice
 
 
@@ -51,7 +51,7 @@ class VectorEntry:
     """A named Chern character bound to a catalog surface."""
 
     surface: NumericalSurface
-    chern: ChernCharacter
+    chern: ExtendedVector
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,6 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self, skip_newlines=True):
-        pos = self.pos
-        while pos < len(self.tokens):
-            tok = self.tokens[pos]
-            if skip_newlines and tok.kind == "newline":
-                pos += 1
-                continue
-            return tok
-        return None
 
     def next(self, skip_newlines=True):
         while self.pos < len(self.tokens):

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import CoverTransfer, ExtendedVector, as_extended, pushforward_ch
+from .covers import CoverTransfer, pushforward_ch
 from .lattice import gcd_all, solve_rational
-from .surfaces import NumericalSurface, euler_pairing
+from .surfaces import ExtendedVector, NumericalSurface, euler_pairing
 from .transport import GActionLattice
 
 
@@ -63,7 +63,7 @@ def generator_set(surface: NumericalSurface) -> list:
     return gens
 
 
-def freeness_gcd(t: CoverTransfer, e) -> GcdCertificate:
+def freeness_gcd(t: CoverTransfer, e: ExtendedVector) -> GcdCertificate:
     """The descent certificate of a class e on the cover of t."""
     pushed = pushforward_ch(t, e)
     values = [(label, euler_pairing(t.base, f, pushed))
@@ -71,12 +71,15 @@ def freeness_gcd(t: CoverTransfer, e) -> GcdCertificate:
     return GcdCertificate.from_values(values)
 
 
-def orbit_sum(action: GActionLattice, e, m: int) -> ExtendedVector:
-    """Sum of (g^i)* e over i = 0..m-1 for a divisor m of the action order."""
+def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVector:
+    """Sum of (g^i)* e over i = 0..m-1 for a divisor m of the action order.
+
+    Raises InvariantError when the sum has a non-integral rank or divisor
+    coordinate (possible when the action mixes s into r or c and s is
+    half-integral)."""
     if m < 1 or action.order % m:
         raise ValueError(f"{m} does not divide the action order {action.order}")
-    v = as_extended(e)
-    coords = v.coords()
+    coords = e.coords()
     if len(coords) != action.gen.nrows:
         raise ValueError(f"class does not live on {action.surface.name}")
     total = list(coords)
@@ -104,7 +107,7 @@ class ObstructionReport:
     values: tuple
 
 
-def divisibility_obstruction(t: CoverTransfer, e, m: int) -> ObstructionReport:
+def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> ObstructionReport:
     """Check the divisibility forced on chi values by a non-free orbit.
 
     The orbit sum is computed with the numerically trivial deck action --
@@ -115,9 +118,7 @@ def divisibility_obstruction(t: CoverTransfer, e, m: int) -> ObstructionReport:
     n = t.degree
     if m < 1 or n % m:
         raise ValueError(f"{m} does not divide the cover degree {n}")
-    v = as_extended(e)
-    orbit = ExtendedVector(m * v.r, tuple(m * x for x in v.c), m * v.s)
-    preimage = solve_rational(t.pull_extended(), orbit.coords())
+    preimage = solve_rational(t.pull_extended(), tuple(m * x for x in e.coords()))
     cert = freeness_gcd(t, e)
     if preimage is None:
         return ObstructionReport(

@@ -8,11 +8,11 @@ all of this is safe to use from concurrent code without locking.
 The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool:
 fraction-free elimination for reduced row-echelon forms (and so for
-kernels and rational solutions) and for integer determinants and ranks
-(Bareiss), Gaussian elimination over Q for inverses and rational
-determinants, and pivot-and-reduce Smith normal form.  Matrices the
-kernel computes itself (sums and products of integer matrices,
-negations, transposes, reduced forms) skip the per-entry check.
+kernels, rational solutions and inverses) and for determinants and ranks
+(Bareiss, with rational rows scaled to integers first), and
+pivot-and-reduce Smith normal form.  Matrices the kernel computes itself
+(sums and products of integer matrices, negations, transposes, reduced
+forms, inverses) skip the per-entry check.
 """
 
 from __future__ import annotations
@@ -225,30 +225,27 @@ def block_diagonal(blocks) -> Matrix:
     return Matrix(rows)
 
 
+def _integer_rows(m: Matrix) -> tuple:
+    """The rows of m as lists of ints, each multiplied by the lcm of its
+    denominators, and the product of those multipliers."""
+    if m.is_integral:
+        return [list(row) for row in m.entries], 1
+    rows, scale = [], 1
+    for row in m.entries:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return rows, scale
+
+
 def det(m: Matrix):
-    """Exact determinant (Bareiss on integer input, Gauss over Q otherwise)."""
+    """Exact determinant: Bareiss on the rows scaled to integers, divided
+    by the scales."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    if m.is_integral:
-        return _det_bareiss([list(row) for row in m.entries])
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    n = m.nrows
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        result *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return _exact(sign * result)
+    a, scale = _integer_rows(m)
+    d = _det_bareiss(a)
+    return d if scale == 1 else _exact(Fraction(d, scale))
 
 
 def _det_bareiss(a) -> int:
@@ -271,24 +268,18 @@ def _det_bareiss(a) -> int:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse over Q; raises on singular input."""
+    """Exact inverse over Q, the right half of rref([m | I]); raises on
+    singular input."""
     if not m.is_square:
         raise DimensionError("inverse of a non-square matrix")
     n = m.nrows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return Matrix([row[n:] for row in a])
+    aug = Matrix._trusted(tuple(row + tuple(int(i == j) for j in range(n))
+                                for i, row in enumerate(m.entries)), m.is_integral)
+    reduced, pivots = rref(aug)
+    # [m | I] has rank n; m is invertible iff its n pivots are all in m.
+    if pivots[-1] != n - 1:
+        raise ValueError("matrix is singular")
+    return Matrix._trusted(tuple(row[n:] for row in reduced.entries), reduced.is_integral)
 
 
 def rref(m: Matrix) -> tuple:
@@ -300,13 +291,7 @@ def rref(m: Matrix) -> tuple:
     pivot once at the end.  Row scalings do not change the reduced form,
     which is unique, so this is the same matrix as elimination over Q.
     """
-    if m.is_integral:
-        a = [list(row) for row in m.entries]
-    else:
-        a = []
-        for row in m.entries:
-            den = lcm(*(x.denominator for x in row))
-            a.append([x.numerator * (den // x.denominator) for x in row])
+    a, _ = _integer_rows(m)
     nrows, ncols = m.nrows, m.ncols
     pivots = []
     r = 0
@@ -403,14 +388,6 @@ def solve_affine(m: Matrix, b) -> tuple | None:
     if x0 is None:
         return None
     return x0, kernel_basis(m)
-
-
-def in_column_space(m: Matrix, v) -> bool:
-    return solve_rational(m, v) is not None
-
-
-def is_unimodular(m: Matrix) -> bool:
-    return m.is_square and m.is_integral and det(m) in (1, -1)
 
 
 def smith_normal_form(m: Matrix) -> tuple:

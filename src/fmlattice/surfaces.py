@@ -15,6 +15,12 @@ Mukai vectors are the sqrt(td)-twisted Chern characters
 On a surface with odd chi(O) the twist is half-integral, which is why the
 degree-4 component is stored as an exact rational throughout.
 
+Chern characters, Mukai vectors and their images under cover transfers
+all live on the one graded lattice H^0 + Num + H^4, so they are values of
+one type, ExtendedVector(r, c, s).  ChernCharacter and MukaiVector are
+other names for it, ch2 reads s, and mukai_vector converts a Chern
+character to its Mukai vector.
+
 The "special" condition (invariance of a sheaf under twisting by the
 canonical bundle) is numerically invisible here: a numerically trivial
 twist never changes a Chern character, so the model treats it as always
@@ -33,39 +39,49 @@ class InvariantError(ValueError):
     """A value violates one of the model's structural invariants."""
 
 
-def _coerce_class_fields(obj, last_field):
-    object.__setattr__(obj, "r", int(obj.r))
-    object.__setattr__(obj, "c", tuple(int(x) for x in obj.c))
-    object.__setattr__(obj, last_field, Fraction(getattr(obj, last_field)))
-
-
 @dataclass(frozen=True)
-class ChernCharacter:
-    """The triple (rank, c1, ch2) of a class on a surface.
+class ExtendedVector:
+    """A vector (r, c, s) of the extended lattice H^0 + Num + H^4.
 
-    ch2 may be half-integral; validity against a particular lattice
-    (length of c1, parity of 2 ch2 + c1^2) is checked by
-    NumericalSurface.character, the validating constructor.
+    The one value type for every class of the calculus: a Chern character
+    (rank, c1, ch2), its Mukai vector (r, c, ch2 + r chi(O)/2) and their
+    images under the cover transfers all live on this lattice.  Which one
+    a vector is, is a matter of role; mukai_vector converts.  Every
+    coordinate must be exact (int, Fraction or a 'p/q' string): floats and
+    bools raise TypeError, a non-integral rank or divisor coordinate
+    raises InvariantError.  s may be half-integral and is kept as a
+    Fraction.  Validity against a particular lattice (length of c, parity
+    of 2 ch2 + c^2) is checked by NumericalSurface.character.
     """
-
-    r: int
-    c: tuple
-    ch2: Fraction
-
-    def __post_init__(self):
-        _coerce_class_fields(self, "ch2")
-
-
-@dataclass(frozen=True)
-class MukaiVector:
-    """A sqrt(td)-twisted Chern character (r, c, ch2 + r chi(O)/2)."""
 
     r: int
     c: tuple
     s: Fraction
 
     def __post_init__(self):
-        _coerce_class_fields(self, "s")
+        r = as_rational(self.r)
+        c = tuple(as_rational(x) for x in self.c)
+        if not (isinstance(r, int) and all(isinstance(x, int) for x in c)):
+            raise InvariantError(f"rank {r} and divisor {c} must be integral")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s", Fraction(as_rational(self.s)))
+
+    @property
+    def ch2(self) -> Fraction:
+        """The degree-4 coordinate, read as ch2 of a Chern character."""
+        return self.s
+
+    def coords(self) -> tuple:
+        return (self.r,) + self.c + (self.s,)
+
+    @classmethod
+    def from_coords(cls, coords) -> "ExtendedVector":
+        return cls(coords[0], tuple(coords[1:-1]), coords[-1])
+
+
+# The names of the two roles a vector plays; both are the one type.
+ChernCharacter = MukaiVector = ExtendedVector
 
 
 @dataclass(frozen=True)
@@ -92,11 +108,11 @@ class NumericalSurface:
     def dim(self) -> int:
         return self.num.dim
 
-    def character(self, r, c, ch2) -> ChernCharacter:
+    def character(self, r, c, ch2) -> ExtendedVector:
         """Build a Chern character on this surface, enforcing the lattice
         length of c1 and the parity constraint 2 ch2 + c1^2 even (the
         integrality of c2)."""
-        e = ChernCharacter(int(r), tuple(c), as_rational(ch2))
+        e = ExtendedVector(r, c, ch2)
         if len(e.c) != self.dim:
             raise DimensionError(
                 f"c1 has length {len(e.c)}, lattice of {self.name} has rank {self.dim}")
@@ -106,10 +122,10 @@ class NumericalSurface:
                 f"2*ch2 + c1^2 = {parity} must be an even integer on {self.name}")
         return e
 
-    def point_class(self) -> ChernCharacter:
+    def point_class(self) -> ExtendedVector:
         return self.character(0, (0,) * self.dim, 1)
 
-    def structure_class(self) -> ChernCharacter:
+    def structure_class(self) -> ExtendedVector:
         return self.character(1, (0,) * self.dim, 0)
 
     def extended_dim(self) -> int:
@@ -144,45 +160,31 @@ class NumericalSurface:
         return parity.denominator == 1 and parity % 2 == 0
 
 
-def _rank_div_deg(v):
-    # ChernCharacter carries ch2, MukaiVector and ExtendedVector carry s;
-    # by construction all three live on the same graded lattice.
-    deg = getattr(v, "ch2", None)
-    if deg is None:
-        deg = v.s
-    return v.r, v.c, Fraction(deg)
-
-
 def euler_pairing(surface: NumericalSurface, e, f) -> int:
     """chi(E, F) by Riemann-Roch on a surface with numerically trivial
     canonical class.  Raises if the result fails to be an integer, which
     can only happen for classes violating the parity invariant."""
-    re, ce, se = _rank_div_deg(e)
-    rf, cf, sf = _rank_div_deg(f)
-    if len(ce) != surface.dim or len(cf) != surface.dim:
+    if len(e.c) != surface.dim or len(f.c) != surface.dim:
         raise DimensionError(f"class does not live on {surface.name}")
-    chi = re * rf * surface.chi_o + re * sf + rf * se - surface.num.pair(ce, cf)
+    chi = e.r * f.r * surface.chi_o + e.r * f.s + f.r * e.s - surface.num.pair(e.c, f.c)
     if chi.denominator != 1:
         raise InvariantError(f"chi(E,F) = {chi} is not an integer")
     return int(chi)
 
 
-def mukai_vector(surface: NumericalSurface, e: ChernCharacter) -> MukaiVector:
+def mukai_vector(surface: NumericalSurface, e: ExtendedVector) -> ExtendedVector:
     """Twist a Chern character by sqrt(td): (r, c, ch2 + r chi(O)/2)."""
-    re, ce, se = _rank_div_deg(e)
-    if len(ce) != surface.dim:
+    if len(e.c) != surface.dim:
         raise DimensionError(f"class does not live on {surface.name}")
-    return MukaiVector(re, ce, se + Fraction(re * surface.chi_o, 2))
+    return ExtendedVector(e.r, e.c, e.s + Fraction(e.r * surface.chi_o, 2))
 
 
 def mukai_pairing(surface: NumericalSurface, v, w):
     """<v, w> = c_v . c_w - r_v s_w - r_w s_v; satisfies
     <v(E), v(F)> = -chi(E, F)."""
-    rv, cv, sv = _rank_div_deg(v)
-    rw, cw, sw = _rank_div_deg(w)
-    if len(cv) != surface.dim or len(cw) != surface.dim:
+    if len(v.c) != surface.dim or len(w.c) != surface.dim:
         raise DimensionError(f"class does not live on {surface.name}")
-    value = surface.num.pair(cv, cw) - rv * sw - rw * sv
+    value = surface.num.pair(v.c, w.c) - v.r * w.s - w.r * v.s
     return int(value) if value.denominator == 1 else value
 
 

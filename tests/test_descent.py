@@ -129,6 +129,17 @@ class TestOrbitSum:
         e = ExtendedVector(1, (1, 1), 0)
         assert orbit_sum(action, e, 3) == ExtendedVector(3, (3, 3), 0)
 
+    def test_non_integral_rank_is_rejected_not_truncated(self):
+        # Swapping r and s preserves the Mukai pairing on product_elliptic;
+        # the orbit sum of (1, 0, 1/2) is (3/2, 0, 3/2), whose rank is no
+        # integer, so there is no class to return.
+        surface = CATALOG.surfaces["product_elliptic"]
+        swap_rs = Matrix([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+        action = GActionLattice(surface, 2, swap_rs)
+        with pytest.raises(InvariantError):
+            orbit_sum(action, ExtendedVector(1, (0, 0), Fraction(1, 2)), 2)
+        assert orbit_sum(action, ExtendedVector(1, (0, 0), 1), 2) == ExtendedVector(2, (0, 0), 2)
+
     def test_rejects_non_divisor(self):
         action = CATALOG.actions["swap"]
         with pytest.raises(ValueError):

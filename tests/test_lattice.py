@@ -10,9 +10,7 @@ from fmlattice.lattice import (
     Matrix,
     det,
     gcd_all,
-    in_column_space,
     inverse,
-    is_unimodular,
     kernel_basis,
     rank,
     rref,
@@ -151,7 +149,7 @@ class TestKernelAndSolve:
 
 class TestSmithNormalForm:
     def assert_valid_snf(self, m, u, d, v):
-        assert is_unimodular(u) and is_unimodular(v)
+        assert det(u) in (1, -1) and det(v) in (1, -1)
         assert u @ m @ v == d
         k = min(m.nrows, m.ncols)
         diag = [d[i, i] for i in range(k)]
@@ -250,9 +248,3 @@ def test_gcd_all():
     assert gcd_all([4, -6]) == 2
     assert gcd_all([0, 0, 0, 2]) == 2
     assert gcd_all([3, 5]) == 1
-
-
-def test_column_space_membership():
-    m = Matrix([[1, 0], [0, 0]])
-    assert in_column_space(m, (3, 0))
-    assert not in_column_space(m, (0, 1))

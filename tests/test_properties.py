@@ -1,8 +1,9 @@
-"""Property tests of the exact elimination and of the averaging identity.
+"""Property tests of the exact elimination, of the averaging identity and
+of the pairings on the extended lattice.
 
-Every result of rref, kernel_basis and solve_rational is compared with a
-plain Gauss-Jordan elimination over Fraction written out below, which
-shares no code with the library.
+Every result of rref, kernel_basis, solve_rational, det and inverse is
+compared with a plain Gauss-Jordan elimination over Fraction written out
+below, which shares no code with the library.
 """
 
 import random
@@ -21,7 +22,19 @@ from fmlattice.averaging import (
     random_rep,
     verify_ker_im,
 )
-from fmlattice.lattice import Matrix, kernel_basis, rank, rref, solve_rational
+import fmlattice
+from fmlattice import covers
+from fmlattice.catalog import builtin_catalog
+from fmlattice.covers import chi_adjunction_check
+from fmlattice.lattice import Matrix, det, inverse, kernel_basis, rank, rref, solve_rational
+from fmlattice.surfaces import (
+    ChernCharacter,
+    ExtendedVector,
+    MukaiVector,
+    euler_pairing,
+    mukai_pairing,
+    mukai_vector,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -47,6 +60,25 @@ def reference_rref(rows):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def reference_det(rows):
+    """Product of the pivots of Gauss elimination over Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    result = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            result = -result
+        result *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return result
 
 
 def reference_kernel(rows):
@@ -80,9 +112,9 @@ def normalised(values):
 
 
 @st.composite
-def matrices(draw, rational=False, max_rows=8, max_cols=12):
+def matrices(draw, rational=False, max_rows=8, max_cols=12, square=False):
     nrows = draw(st.integers(1, max_rows))
-    ncols = draw(st.integers(1, max_cols))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
     entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
     if rational:
         entry = st.builds(Fraction, entry, st.integers(1, 12))
@@ -148,6 +180,28 @@ def test_solve_rational_matches_reference(rows, data):
         assert normalised(x)
 
 
+@SETTINGS
+@given(st.booleans().flatmap(lambda rational: matrices(rational=rational, square=True)))
+def test_det_and_inverse_match_reference(rows):
+    m = Matrix(rows)
+    d = det(m)
+    assert d == reference_det(rows)
+    assert normalised([d])
+    n = m.nrows
+    reduced, pivots = reference_rref([list(row) + [int(i == j) for j in range(n)]
+                                      for i, row in enumerate(rows)])
+    if pivots[-1] != n - 1:
+        assert d == 0
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inverse(m)
+    else:
+        inv = inverse(m)
+        assert [list(row) for row in inv.entries] == [row[n:] for row in reduced]
+        flat = [x for row in inv.entries for x in row]
+        assert normalised(flat)
+        assert inv.is_integral == all(isinstance(x, int) for x in flat)
+
+
 reps = st.integers(0, 2**32).map(lambda seed: random_rep(random.Random(seed), max_order=12,
                                                          max_dim=10))
 
@@ -193,3 +247,48 @@ def test_not_stable_is_reported_before_b_s_outside(rep, data):
     assume(not in_span([v], bs))
     with pytest.raises(ValueError, match="not stable"):
         descend_invariant(rep, [v], s)
+
+
+CATALOG = builtin_catalog()
+
+
+@st.composite
+def characters(draw, surface):
+    """A valid Chern character on surface: 2 ch2 + c^2 even."""
+    r = draw(st.integers(-6, 6))
+    c = tuple(draw(st.lists(st.integers(-6, 6), min_size=surface.dim, max_size=surface.dim)))
+    cc = surface.num.pair(c, c)
+    return surface.character(r, c, draw(st.integers(-6, 6)) + Fraction(cc % 2, 2))
+
+
+surfaces = st.sampled_from(sorted(CATALOG.surfaces.items())).map(lambda item: item[1])
+covers_of_catalog = st.sampled_from(sorted(CATALOG.covers.items())).map(lambda item: item[1])
+
+
+@SETTINGS
+@given(surfaces.flatmap(lambda s: st.tuples(st.just(s), characters(s), characters(s))))
+def test_mukai_pairing_is_minus_euler_pairing(case):
+    surface, e, f = case
+    v, w = mukai_vector(surface, e), mukai_vector(surface, f)
+    assert mukai_pairing(surface, v, w) == -euler_pairing(surface, e, f)
+
+
+@SETTINGS
+@given(covers_of_catalog.flatmap(
+    lambda t: st.tuples(st.just(t), characters(t.base), characters(t.cover))))
+def test_chi_adjunction_holds_on_every_builtin_cover(case):
+    t, f, e = case
+    lhs, rhs, equal = chi_adjunction_check(t, f, e)
+    assert equal and lhs == rhs
+
+
+@SETTINGS
+@given(surfaces.flatmap(characters))
+def test_coords_round_trip(e):
+    assert ExtendedVector.from_coords(e.coords()) == e
+    assert e.coords() == (e.r,) + e.c + (e.ch2,)
+
+
+def test_one_class_object_for_every_role():
+    assert ChernCharacter is MukaiVector is ExtendedVector
+    assert covers.ExtendedVector is fmlattice.ExtendedVector is ExtendedVector

@@ -5,6 +5,7 @@ import pytest
 
 from fmlattice.lattice import BilinearForm, DimensionError
 from fmlattice.surfaces import (
+    ExtendedVector,
     InvariantError,
     MukaiVector,
     NumericalSurface,
@@ -88,6 +89,31 @@ class TestEulerPairing:
         f = odd.character(0, (1,), Fraction(1, 2))
         with pytest.raises(InvariantError):
             euler_pairing(odd, e, f)
+
+
+class TestExactConstructor:
+    def test_rational_rank_is_rejected_not_truncated(self):
+        with pytest.raises(InvariantError):
+            ExtendedVector(Fraction(3, 2), (0,), 0)
+        with pytest.raises(InvariantError):
+            ExtendedVector(1, (Fraction(1, 2),), 0)
+
+    def test_floats_and_bools_are_rejected(self):
+        with pytest.raises(TypeError):
+            ExtendedVector(1.9, (2.7,), 0.5)
+        with pytest.raises(TypeError):
+            ExtendedVector(1, (2,), 0.5)
+        with pytest.raises(TypeError):
+            ExtendedVector(True, (0,), 0)
+
+    def test_character_rejects_float_rank(self):
+        with pytest.raises(TypeError):
+            ABELIAN.character(1.0, (0,), 0)
+
+    def test_exact_values_are_normalised(self):
+        v = ExtendedVector(Fraction(4, 2), [Fraction(-3, 1)], "1/2")
+        assert (v.r, v.c, v.s) == (2, (-3,), Fraction(1, 2))
+        assert type(v.r) is int and type(v.c[0]) is int and type(v.s) is Fraction
 
 
 class TestParityInvariant:
