@@ -136,7 +136,7 @@ def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
     if coeffs is None:
         raise InvariantError("no subspace element maps to B s under B")
     k = span.apply(coeffs)
-    t = tuple(_exact(a - b) for a, b in zip(s, k))
+    t = tuple([_exact(a - b) for a, b in zip(s, k)])
     if any(b_op.apply(t)):
         raise InvariantError("descended vector is not invariant")
     return t

@@ -136,7 +136,7 @@ def _enriques_reflection(catalog) -> ReproReport:
     point = enr.point_class()
     phi_point = enr.character(
         o_class.r + omega_class.r - point.r,
-        tuple(a + b - c for a, b, c in zip(o_class.c, omega_class.c, point.c)),
+        [a + b - c for a, b, c in zip(o_class.c, omega_class.c, point.c)],
         o_class.ch2 + omega_class.ch2 - point.ch2)
     checks = (
         ReproCheck("rank of Phi(O_x)", str(phi_point.r), "2"),

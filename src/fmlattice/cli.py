@@ -8,7 +8,9 @@ set, 2 for input errors of any kind.
 Vectors are written inline as  r,c1,..,cd;ch2  (the degree-4 part may be
 a fraction like 1/2), or named after a catalog vector.  Matrices use the
 definitions-format literal [a,b;c,d].  Additional definitions files are
-loaded with --defs, repeatable, on top of the built-in catalog.
+loaded with --defs, repeatable, on top of the built-in catalog.  Each file
+is read on every call, and parsed and validated once per distinct content
+per process.
 """
 
 from __future__ import annotations
@@ -54,17 +56,28 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpShown(self.format_help())
 
 
+# Catalogs for the --defs texts read so far, keyed by content rather than by
+# path, so an edited file misses and is parsed again.  Like builtin_catalog(),
+# each catalog is frozen and shared read-only.  Errors are not cached.
+@functools.lru_cache(maxsize=16)
+def _catalog_for(texts: tuple, allow_invalid: bool) -> Catalog:
+    """The built-in catalog extended by one or more definitions texts."""
+    cat = _catalog_for(texts[:-1], allow_invalid) if len(texts) > 1 else builtin_catalog()
+    return cat.extend(load_definitions(texts[-1], allow_invalid=allow_invalid,
+                                       registry=cat.registry()))
+
+
 def _load_catalog(ns) -> Catalog:
     cat = builtin_catalog()
+    texts = ()
     for path in ns.defs:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise DefsError(f"cannot read {path}: {exc.strerror}") from None
-        entries = load_definitions(text, allow_invalid=ns.allow_invalid,
-                                   registry=cat.registry())
-        cat = cat.extend(entries)
+        texts += (text,)
+        cat = _catalog_for(texts, ns.allow_invalid)
     return cat
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .covers import CoverTransfer, validate_cover
 from .lattice import BilinearForm, Matrix
@@ -70,8 +71,7 @@ _FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | number | punct | newline
     text: str
     line: int
@@ -211,6 +211,10 @@ class _Parser:
 
 def _parse_number(tok, allow_fraction):
     try:
+        if "/" not in tok.text:
+            # int() accepts and rejects the same slash-free tokens as
+            # Fraction() and gives the same value, at a fraction of the cost
+            return int(tok.text)
         value = Fraction(tok.text)
     except (ValueError, ZeroDivisionError):
         raise DefsParseError(f"bad number {tok.text!r}", tok.line, tok.column) from None

@@ -47,7 +47,7 @@ class GcdCertificate:
 
     @classmethod
     def from_values(cls, values) -> "GcdCertificate":
-        values = tuple((str(label), int(v)) for label, v in values)
+        values = tuple([(str(label), int(v)) for label, v in values])
         g = gcd_all(v for _, v in values)
         return cls(values, g, g == 1)
 
@@ -57,7 +57,7 @@ def generator_set(surface: NumericalSurface) -> list:
     structure sheaf, divisor basis classes, point."""
     gens = [("O", surface.structure_class())]
     for j in range(surface.dim):
-        c = tuple(int(i == j) for i in range(surface.dim))
+        c = tuple([int(i == j) for i in range(surface.dim)])
         gens.append((f"e{j + 1}", surface.character(0, c, 0)))
     gens.append(("point", surface.point_class()))
     return gens
@@ -118,7 +118,7 @@ def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> Obs
     n = t.degree
     if m < 1 or n % m:
         raise ValueError(f"{m} does not divide the cover degree {n}")
-    preimage = solve_rational(t.pull_extended(), tuple(m * x for x in e.coords()))
+    preimage = solve_rational(t.pull_extended(), tuple([m * x for x in e.coords()]))
     cert = freeness_gcd(t, e)
     if preimage is None:
         return ObstructionReport(

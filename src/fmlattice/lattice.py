@@ -13,6 +13,12 @@ kernels, rational solutions and inverses) and for determinants and ranks
 pivot-and-reduce Smith normal form.  Matrices the kernel computes itself
 (sums and products of integer matrices, negations, transposes, reduced
 forms, inverses) skip the per-entry check.
+
+Tuples are built from lists, never straight from a generator, here and
+in the modules above.  tuple() over a generator allocates by resizing, and
+a resized tuple that is freed lands on a per-size free list that, in
+CPython, only a full garbage collection empties; in a long session of
+cheap calls those lists fill up and raise peak memory by about a megabyte.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def as_rational(x) -> Fraction | int:
 
 
 def vector(entries) -> tuple:
-    return tuple(_exact(x) for x in entries)
+    return tuple([_exact(x) for x in entries])
 
 
 def dot(u, v):
@@ -60,7 +66,7 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "_e", "_integral")
 
     def __init__(self, rows):
-        data = tuple(tuple(_exact(x) for x in row) for row in rows)
+        data = tuple([tuple([_exact(x) for x in row]) for row in rows])
         if not data:
             raise DimensionError("empty matrix")
         width = len(data[0])
@@ -112,7 +118,7 @@ class Matrix:
         return self._e[i]
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._e)
+        return tuple([r[j] for r in self._e])
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.ncols)]
@@ -123,7 +129,7 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix._trusted(tuple(zip(*self._e)), self._integral)
+        return Matrix._trusted(tuple(list(zip(*self._e))), self._integral)
 
     @property
     def is_integral(self) -> bool:
@@ -152,22 +158,22 @@ class Matrix:
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise DimensionError(f"vector of length {len(v)} against {self.nrows}x{self.ncols}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._e)
+        return tuple([sum(a * b for a, b in zip(row, v)) for row in self._e])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in addition")
-        return self._result(tuple(tuple(a + b for a, b in zip(r1, r2))
-                                  for r1, r2 in zip(self._e, other._e)), other)
+        return self._result(tuple([tuple([a + b for a, b in zip(r1, r2)])
+                                   for r1, r2 in zip(self._e, other._e)]), other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in subtraction")
-        return self._result(tuple(tuple(a - b for a, b in zip(r1, r2))
-                                  for r1, r2 in zip(self._e, other._e)), other)
+        return self._result(tuple([tuple([a - b for a, b in zip(r1, r2)])
+                                   for r1, r2 in zip(self._e, other._e)]), other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(tuple(tuple(-x for x in row) for row in self._e), self._integral)
+        return Matrix._trusted(tuple([tuple([-x for x in row]) for row in self._e]), self._integral)
 
     def scale(self, k) -> "Matrix":
         k = _exact(k if not isinstance(k, str) else Fraction(k))
@@ -273,13 +279,13 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise DimensionError("inverse of a non-square matrix")
     n = m.nrows
-    aug = Matrix._trusted(tuple(row + tuple(int(i == j) for j in range(n))
-                                for i, row in enumerate(m.entries)), m.is_integral)
+    aug = Matrix._trusted(tuple([row + tuple([int(i == j) for j in range(n)])
+                                 for i, row in enumerate(m.entries)]), m.is_integral)
     reduced, pivots = rref(aug)
     # [m | I] has rank n; m is invertible iff its n pivots are all in m.
     if pivots[-1] != n - 1:
         raise ValueError("matrix is singular")
-    return Matrix._trusted(tuple(row[n:] for row in reduced.entries), reduced.is_integral)
+    return Matrix._trusted(tuple([row[n:] for row in reduced.entries]), reduced.is_integral)
 
 
 def rref(m: Matrix) -> tuple:
@@ -324,7 +330,7 @@ def rref(m: Matrix) -> tuple:
                 integral = False
             else:
                 row[j] = q
-    return Matrix._trusted(tuple(map(tuple, a)), integral), tuple(pivots)
+    return Matrix._trusted(tuple([tuple(row) for row in a]), integral), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -364,7 +370,7 @@ def kernel_basis(m: Matrix) -> list:
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -reduced[i, f]
-        basis.append(tuple(_exact(x) for x in v))
+        basis.append(tuple([_exact(x) for x in v]))
     return basis
 
 
@@ -379,7 +385,7 @@ def solve_rational(m: Matrix, b) -> tuple | None:
     x = [Fraction(0)] * m.ncols
     for i, p in enumerate(pivots):
         x[p] = reduced[i, m.ncols]
-    return tuple(_exact(v) for v in x)
+    return tuple([_exact(v) for v in x])
 
 
 def solve_affine(m: Matrix, b) -> tuple | None:

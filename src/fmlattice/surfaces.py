@@ -59,8 +59,10 @@ class ExtendedVector:
     s: Fraction
 
     def __post_init__(self):
+        if isinstance(self.c, (str, bytes)):
+            raise TypeError(f"divisor must be a sequence, not {type(self.c).__name__}")
         r = as_rational(self.r)
-        c = tuple(as_rational(x) for x in self.c)
+        c = tuple([as_rational(x) for x in self.c])
         if not (isinstance(r, int) and all(isinstance(x, int) for x in c)):
             raise InvariantError(f"rank {r} and divisor {c} must be integral")
         object.__setattr__(self, "r", r)
@@ -92,7 +94,9 @@ class NumericalSurface:
     whose canonical class is numerically trivial, so there is nothing to
     store.  canonical_order is the order of the canonical bundle in the
     Picard group (1 for K3 and abelian surfaces, 2 for Enriques,
-    2, 3, 4 or 6 for bielliptic).
+    2, 3, 4 or 6 for bielliptic).  chi_o and canonical_order are exact
+    like ExtendedVector's coordinates: floats and bools raise TypeError,
+    a non-integer raises InvariantError.
     """
 
     name: str
@@ -101,8 +105,14 @@ class NumericalSurface:
     canonical_order: int
 
     def __post_init__(self):
-        if self.canonical_order < 1:
+        chi_o = as_rational(self.chi_o)
+        order = as_rational(self.canonical_order)
+        if not isinstance(chi_o, int):
+            raise InvariantError(f"chi_o = {chi_o} must be an integer")
+        if not isinstance(order, int) or order < 1:
             raise InvariantError("canonical_order must be a positive integer")
+        object.__setattr__(self, "chi_o", chi_o)
+        object.__setattr__(self, "canonical_order", order)
 
     @property
     def dim(self) -> int:

@@ -118,7 +118,7 @@ def tensor_twist(surface: NumericalSurface, divisor) -> LatticeIsometry:
 
     Integral only when l^2 is even, which holds on every even lattice.
     """
-    ell = tuple(int(x) for x in divisor)
+    ell = tuple([int(x) for x in divisor])
     if len(ell) != surface.dim:
         raise DimensionError(f"divisor does not live on {surface.name}")
     g_ell = surface.num.gram.apply(ell)

@@ -1,13 +1,33 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from fmlattice.cli import main, run_cli, run_script
+import fmlattice.cli
+from fmlattice.cli import _catalog_for, main, run_cli, run_script
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DEFS = ROOT / "tests" / "data" / "golden.defs"
+
+
+@pytest.fixture(autouse=True)
+def fresh_catalog_cache():
+    """Each test starts and ends with an empty --defs catalog cache."""
+    _catalog_for.cache_clear()
+    yield
+    _catalog_for.cache_clear()
 
 
 def run(*argv):
     return run_cli(list(argv))
+
+
+def surface_defs(name, gram="[6]", chi_o=2):
+    return (f"surface {name} {{\n  rank 1\n  intersection {gram}\n"
+            f"  chi_o {chi_o}\n  canonical_order 1\n}}\n")
 
 
 class TestBasicCommands:
@@ -343,3 +363,129 @@ def test_threads_share_the_parser_safely():
     for i, got in enumerate(results):
         expected = serial[i:] + serial[:i]
         assert got == [r for r in expected for _ in range(3)]
+
+
+def show_k3(*defs):
+    """surface show k3_toy with each path in defs given as --defs."""
+    argv = ["surface", "show", "k3_toy"]
+    for path in defs:
+        argv += ["--defs", str(path)]
+    return run_cli(argv)
+
+
+class TestDefsCache:
+    """--defs files are read on every call and parsed and validated once per
+    distinct content; errors are never cached."""
+
+    @pytest.fixture
+    def load_calls(self, monkeypatch):
+        calls = []
+        real = fmlattice.cli.load_definitions
+
+        def counting(text, **kw):
+            calls.append(text)
+            return real(text, **kw)
+
+        monkeypatch.setattr(fmlattice.cli, "load_definitions", counting)
+        return calls
+
+    def test_rewritten_file_gives_the_new_output(self, tmp_path):
+        defs = tmp_path / "extra.defs"
+        argv = ("chi", "--surface", "my_k3", "--e", "1,0;0", "--f", "1,0;0", "--defs", str(defs))
+        for chi_o in (2, 5, 2):
+            defs.write_text(surface_defs("my_k3", chi_o=chi_o))
+            assert run(*argv) == (0, f"{chi_o}\n")
+
+    def test_errors_keep_their_order(self, tmp_path):
+        good = tmp_path / "good.defs"
+        good.write_text(surface_defs("my_k3"))
+        bad = tmp_path / "bad.defs"
+        bad.write_text("surface s {\n  rank ?\n}\n")
+        missing = tmp_path / "missing.defs"
+        parse_error = (2, "error: line 2, column 8: unexpected character '?'\n")
+        cannot_read = (2, f"error: cannot read {missing}: No such file or directory\n")
+        assert show_k3(good)[0] == 0
+        # the second round starts from a cached file
+        for lead in ((), (good,)):
+            assert show_k3(*lead, bad, missing) == parse_error
+            assert show_k3(*lead, missing, bad) == cannot_read
+
+    @pytest.mark.parametrize("order", [(True, False), (False, True)])
+    def test_invalid_cover_needs_allow_invalid_in_either_order(self, order):
+        argv = ["cover", "validate", "golden_bad_cover", "--defs", str(GOLDEN_DEFS)]
+        rejected = (2, "error: cover 'golden_bad_cover' violates axiom 'pushforward_adjointness': "
+                       "(push f1).e2 = 1 but f1.(pull e2) = 2\n")
+        for allow in order * 2:
+            code, out = run_cli(argv + ["--allow-invalid"] * allow)
+            if allow:
+                assert code == 0 and "FAIL pushforward_adjointness: " in out
+            else:
+                assert (code, out) == rejected
+
+    def test_failing_file_fails_on_every_call(self, tmp_path, load_calls):
+        bad = tmp_path / "bad.defs"
+        bad.write_text("surface s {\n  rank ?\n}\n")
+        results = [show_k3(bad) for _ in range(3)]
+        assert results == [(2, "error: line 2, column 8: unexpected character '?'\n")] * 3
+        assert len(load_calls) == 3
+        assert _catalog_for.cache_info().currsize == 0
+
+    def test_script_loads_one_file_once(self, load_calls):
+        line = ("chi --surface bench_enriques --e bench_enriques_v2 --f bench_enriques_v2 "
+                f"--defs {ROOT / 'bench' / 'defs' / 'enriques_k3.defs'}\n")
+        code, out = run_script(line * 10)
+        assert code == 0
+        assert out.splitlines()[1::2] == ["6"] * 10
+        assert len(load_calls) == 1
+
+    def test_threads_share_cached_catalogs(self):
+        threads_n = 8
+        lines = [
+            ["cover", "validate", "golden_bad_cover", "--allow-invalid"],
+            ["cover", "validate", "golden_bad_cover"],
+            ["lift-map", "--cover-y", "golden_split_cover", "--cover-x", "golden_split_cover",
+             "--mat", "[1,0,0;0,1,0;0,0,1]", "--allow-invalid", "--records"],
+            ["surface", "show", "golden_k3_rank2", "--allow-invalid"],
+        ]
+        lines = [argv + ["--defs", str(GOLDEN_DEFS)] for argv in lines]
+        serial = [run_cli(argv) for argv in lines]
+        _catalog_for.cache_clear()
+        results = [None] * threads_n
+        barrier = threading.Barrier(threads_n)
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = [run_cli(argv) for argv in lines for _ in range(3)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[r for r in serial for _ in range(3)]] * threads_n
+
+    def test_cache_stays_bounded(self, tmp_path):
+        defs = tmp_path / "extra.defs"
+        for k in range(1, 41):
+            defs.write_text(surface_defs("my_s", gram=f"[{2 * k}]"))
+            code, out = show_k3(defs)
+            assert code == 0
+            info = _catalog_for.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.misses == 40
+
+
+def test_python_m_fmlattice_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmlattice", "chi", "--surface", "abelian_ppav",
+         "--e", "1,0;0", "--f", "4,2;1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")

@@ -5,7 +5,8 @@ it the way run_script does ("$ line", then the output) and adds its exit
 code as a "# exit N" comment.  The lines cover every subcommand in plain
 and --records form, definitions loaded with --defs, each negative result
 under --strict, and usage and input errors.  The empty line is the call
-with no arguments at all.
+with no arguments at all.  The test replays the transcript three times:
+as it finds the --defs catalog cache, warm, and cold after clearing it.
 
 After an intended change of output, rewrite the transcript from the
 repository root with
@@ -16,7 +17,7 @@ repository root with
 import shlex
 from pathlib import Path
 
-from fmlattice.cli import run_cli
+from fmlattice.cli import _catalog_for, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.txt"
@@ -145,7 +146,17 @@ def transcript() -> str:
 def test_golden_transcript(monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COLUMNS", "80")
-    assert transcript() == GOLDEN.read_text(encoding="utf-8")
+    golden = GOLDEN.read_text(encoding="utf-8")
+    assert transcript() == golden
+    # Warm: every --defs file is cached by now.  The one line whose file
+    # fails validation misses again, because errors are not cached.
+    before = _catalog_for.cache_info()
+    assert transcript() == golden
+    after = _catalog_for.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses + 1
+    # Cold: every --defs file is parsed and validated again.
+    _catalog_for.cache_clear()
+    assert transcript() == golden
 
 
 if __name__ == "__main__":

@@ -91,6 +91,24 @@ surface s {
             load_definitions("surface s {\n  rank ?\n}\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("number, outcome", [
+        ("1/0", "bad number '1/0'"),
+        ("3/", "bad number '3/'"),
+        ("\u00b2", "bad number '\u00b2'"),
+        ("1/2", "expected an integer"),
+        ("4/2", 2),
+        ("-7", -7),
+    ])
+    def test_numbers_on_both_sides_of_the_slash_split(self, number, outcome):
+        text = SURFACE.replace("chi_o 0", f"chi_o {number}")
+        if isinstance(outcome, int):
+            assert load_definitions(text)[0].payload.chi_o == outcome
+            return
+        with pytest.raises(DefsParseError) as err:
+            load_definitions(text)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            f"line 5, column 9: {outcome}", 5, 9)
+
     def test_unknown_field(self):
         with pytest.raises(DefsParseError, match="unknown field"):
             load_definitions("surface s {\n  volume 1\n}\n")

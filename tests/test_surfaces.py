@@ -115,6 +115,13 @@ class TestExactConstructor:
         assert (v.r, v.c, v.s) == (2, (-3,), Fraction(1, 2))
         assert type(v.r) is int and type(v.c[0]) is int and type(v.s) is Fraction
 
+    @pytest.mark.parametrize("divisor", ["12", b"12"])
+    def test_string_divisor_is_rejected_not_iterated(self, divisor):
+        with pytest.raises(TypeError):
+            ExtendedVector(1, divisor, 0)
+        with pytest.raises(TypeError):
+            PRODUCT.character(1, divisor, 0)
+
 
 class TestParityInvariant:
     def test_rejects_odd_combination(self):
@@ -180,6 +187,26 @@ class TestModuliDim:
 def test_surface_rejects_nonpositive_order():
     with pytest.raises(InvariantError):
         NumericalSurface("bad", BilinearForm.from_rows([[2]]), 0, 0)
+
+
+@pytest.mark.parametrize("chi_o, order, error", [
+    (0.5, 1, TypeError),
+    (1, 1.5, TypeError),
+    (True, 1, TypeError),
+    (1, True, TypeError),
+    (Fraction(1, 2), 1, InvariantError),
+    (1, Fraction(3, 2), InvariantError),
+])
+def test_surface_rejects_inexact_invariants(chi_o, order, error):
+    with pytest.raises(error):
+        NumericalSurface("bad", BilinearForm.from_rows([[2]]), chi_o, order)
+
+
+def test_surface_invariants_are_normalised():
+    s = NumericalSurface("s", BilinearForm.from_rows([[2]]), Fraction(4, 2), Fraction(2, 1))
+    assert (s.chi_o, s.canonical_order) == (2, 2)
+    assert type(s.chi_o) is int and type(s.canonical_order) is int
+    assert euler_pairing(s, s.structure_class(), s.structure_class()) == 2
 
 
 def test_mukai_gram_matches_pairing():
