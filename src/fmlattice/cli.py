@@ -259,8 +259,10 @@ def _equivariant(ns, catalog):
 
 
 def _avg_verify(ns, catalog):
-    if ns.trials < 1:
-        raise DefsError("--trials must be positive")
+    for flag, value in (("--trials", ns.trials), ("--max-order", ns.max_order),
+                        ("--max-dim", ns.max_dim)):
+        if value < 1:
+            raise DefsError(f"{flag} must be positive")
     rng = random.Random(ns.seed)
     reps = (random_rep(rng, max_order=ns.max_order, max_dim=ns.max_dim) for _ in range(ns.trials))
     failures = sum(not verify_ker_im(rep).holds for rep in reps)

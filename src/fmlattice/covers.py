@@ -134,17 +134,7 @@ def validate_cover(t: CoverTransfer) -> CoverValidation:
             "pushforward_adjointness", False,
             f"(push f{i + 1}).e{j + 1} = {lhs[i, j]} but f{i + 1}.(pull e{j + 1}) = {rhs[i, j]}"))
 
-    comp = t.push_num @ t.pull_num
-    deg = Matrix.identity(t.base.dim).scale(n)
-    if comp == deg:
-        checks.append(CoverCheck("degree_identity", True,
-                                 f"push o pull = {n} * id on Num({t.base.name})"))
-    else:
-        j = next(j for j in range(t.base.dim)
-                 if comp.column(j) != deg.column(j))
-        checks.append(CoverCheck(
-            "degree_identity", False,
-            f"push(pull(e{j + 1})) = {comp.column(j)}, expected {deg.column(j)}"))
+    checks.append(degree_identity(t))
 
     ok = t.cover.chi_o == n * t.base.chi_o
     checks.append(CoverCheck(
@@ -152,6 +142,18 @@ def validate_cover(t: CoverTransfer) -> CoverValidation:
         f"chi(O_{t.cover.name}) = {t.cover.chi_o} vs {n} * chi(O_{t.base.name}) = {n * t.base.chi_o}"))
 
     return CoverValidation(tuple(checks))
+
+
+def degree_identity(t: CoverTransfer) -> CoverCheck:
+    """The axiom push o pull = n on Num, which lift_isometry rests on."""
+    n = t.degree
+    comp = t.push_num @ t.pull_num
+    deg = Matrix.diagonal([n] * t.base.dim)
+    if comp == deg:
+        return CoverCheck("degree_identity", True, f"push o pull = {n} * id on Num({t.base.name})")
+    j = next(j for j in range(t.base.dim) if comp.column(j) != deg.column(j))
+    return CoverCheck("degree_identity", False,
+                      f"push(pull(e{j + 1})) = {comp.column(j)}, expected {deg.column(j)}")
 
 
 def pullback_ch(t: CoverTransfer, e: ExtendedVector) -> ExtendedVector:

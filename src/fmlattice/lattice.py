@@ -33,14 +33,14 @@ class DimensionError(ValueError):
 
 
 def _exact(x):
-    """Coerce an entry to int or Fraction; floats are rejected outright."""
+    """Coerce a number to int or Fraction; floats are rejected outright."""
     if isinstance(x, bool):
-        raise TypeError("bool is not a matrix entry")
+        raise TypeError(f"exact number expected, got bool {x}")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    raise TypeError(f"exact entry expected, got {type(x).__name__}")
+    raise TypeError(f"exact number expected, got {type(x).__name__} {x!r}")
 
 
 def as_rational(x) -> Fraction | int:
@@ -250,27 +250,9 @@ def det(m: Matrix):
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
     a, scale = _integer_rows(m)
-    d = _det_bareiss(a)
+    r, sign = _bareiss(a)
+    d = sign * a[-1][-1] if r == m.nrows else 0
     return d if scale == 1 else _exact(Fraction(d, scale))
-
-
-def _det_bareiss(a) -> int:
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -334,21 +316,25 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    if m.is_integral:
-        return _rank_fraction_free([list(row) for row in m.entries])
-    return len(rref(m)[1])
+    return _bareiss(_integer_rows(m)[0])[0]
 
 
-def _rank_fraction_free(a) -> int:
-    # Bareiss-style forward elimination; entries stay integral.
+def _bareiss(a) -> tuple:
+    """Fraction-free forward elimination of the integer rows a, in place:
+    (rank, sign of the row swaps).  Every entry stays integral; on a
+    square matrix of full rank the last pivot is the determinant up to
+    that sign."""
     nrows, ncols = len(a), len(a[0])
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
                 a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
@@ -357,7 +343,7 @@ def _rank_fraction_free(a) -> int:
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -386,14 +372,6 @@ def solve_rational(m: Matrix, b) -> tuple | None:
     for i, p in enumerate(pivots):
         x[p] = reduced[i, m.ncols]
     return tuple([_exact(v) for v in x])
-
-
-def solve_affine(m: Matrix, b) -> tuple | None:
-    """Full rational solution set of m x = b: (particular, kernel basis)."""
-    x0 = solve_rational(m, b)
-    if x0 is None:
-        return None
-    return x0, kernel_basis(m)
 
 
 def smith_normal_form(m: Matrix) -> tuple:

@@ -18,16 +18,17 @@ the candidate is accepted only if it is integral, satisfies both squares
 exactly, and preserves the Mukai pairing.  Failures carry a witness (the
 forced image of a pushforward vector that has no integral preimage).
 
-lift_isometry solves the two commuting squares for an isometry of cover
-lattices.  When the linear system determines the lift uniquely (always
-the case when the covers' Num ranks equal their bases', as for every
-built-in cover) the result is a list with zero or one verified entries.
-An empty list does not contradict the sheaf-level lifting theorem; it
-refutes the input being the cohomological action of an actual transform
-compatible with the given transfers.  When the system is underdetermined
-a LiftFamily descriptor is returned instead of an arbitrary
-representative, since the leftover freedom is exactly composition with
-deck transformations and should be visible to the caller.
+lift_isometry solves the squares M pull_Y = pull_X phi and push_X M =
+phi push_Y in closed form: on covers with push o pull = n (the degree
+identity, which lifting requires) M0 = (1/n) pull_X phi push_Y solves
+both, the transpose of the descent formula.  Where a cover's Num rank
+equals its base's (every built-in cover) M0 is the only solution and the
+result is a list with zero or one verified entries.  An empty list does
+not contradict the sheaf-level lifting theorem; it refutes the input
+being the cohomological action of an actual transform compatible with
+the given transfers.  Where both covers have larger Num rank the leftover
+freedom, ker push_X (x) ker pull_Y^T, is returned as a LiftFamily instead
+of an arbitrary representative, so that the caller sees it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, det, inverse, solve_affine
-from .surfaces import NumericalSurface
+from .covers import CoverTransfer, degree_identity
+from .lattice import DimensionError, Matrix, kernel_basis
+from .surfaces import InvariantError, NumericalSurface
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,13 @@ def check_equivariant(phi: LatticeIsometry, a_y: GActionLattice,
     return exponents
 
 
+def _over(m: Matrix, n: int) -> Matrix:
+    """m / n, divided exactly in ints when n divides every entry."""
+    if m.is_integral and all(x % n == 0 for row in m.entries for x in row):
+        return Matrix([[x // n for x in row] for row in m.entries])
+    return m.scale(Fraction(1, n))
+
+
 @dataclass(frozen=True)
 class DescentOutcome:
     """Result of descend_isometry: the isometry, or a named failure.
@@ -216,10 +224,9 @@ def descend_isometry(phi_t: LatticeIsometry, t_y: CoverTransfer,
         raise ValueError(f"cover degrees differ: {t_y.degree} vs {t_x.degree}")
     if phi_t.source != t_y.cover or phi_t.target != t_x.cover:
         raise ValueError("isometry does not connect the two cover lattices")
-    n = t_y.degree
     push_y, push_x = t_y.push_extended(), t_x.push_extended()
     pull_y, pull_x = t_y.pull_extended(), t_x.pull_extended()
-    candidate = (push_x @ phi_t.mat @ pull_y).scale(Fraction(1, n))
+    candidate = _over(push_x @ phi_t.mat @ pull_y, t_y.degree)
     if not candidate.is_integral:
         witness = _descent_witness(t_y, t_x, phi_t, candidate)
         return DescentOutcome(None, "no integral solution", witness)
@@ -235,77 +242,58 @@ def descend_isometry(phi_t: LatticeIsometry, t_y: CoverTransfer,
 class LiftFamily:
     """Affine family of rational solutions of the two lifting squares.
 
-    Returned when the linear system is underdetermined (possible only
-    when both covers have strictly larger Num rank than their bases).
-    Members are particular + sum t_i * directions[i]; integrality and
-    pairing preservation cut out the actual lifts and are left to the
-    caller, being nonlinear constraints.
+    Returned when both covers have strictly larger Num rank than their
+    bases.  Members are particular + sum t_i * directions[i].  directions
+    are the k l^T for k in the reduced kernel basis of push_X and, inner,
+    l in that of pull_Y^T; each is 1 at (last nonzero index of k, of l),
+    where particular is 0.  Integrality and pairing preservation cut out
+    the actual lifts and are left to the caller, being nonlinear.
     """
 
     particular: Matrix
     directions: tuple
 
 
-def _solve_two_squares(phi: Matrix, pull_y: Matrix, pull_x: Matrix,
-                       push_y: Matrix, push_x: Matrix):
-    """Solve M @ pull_y = pull_x @ phi and push_x @ M = phi @ push_y for M."""
-    nrows, ncols = pull_x.nrows, pull_y.nrows
-    rhs_a = pull_x @ phi
-    rhs_b = phi @ push_y
-    rows = []
-    rhs = []
-    for i in range(nrows):
-        for jj in range(pull_y.ncols):
-            row = [0] * (nrows * ncols)
-            for j in range(ncols):
-                row[i * ncols + j] = pull_y[j, jj]
-            rows.append(row)
-            rhs.append(rhs_a[i, jj])
-    for ii in range(push_x.nrows):
-        for j in range(ncols):
-            row = [0] * (nrows * ncols)
-            for k in range(nrows):
-                row[k * ncols + j] = push_x[ii, k]
-            rows.append(row)
-            rhs.append(rhs_b[ii, j])
-    solved = solve_affine(Matrix(rows), tuple(rhs))
-    if solved is None:
-        return None
-    x0, kernel = solved
-    reshape = lambda flat: Matrix([list(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)])
-    return reshape(x0), [reshape(k) for k in kernel]
-
-
 def lift_isometry(phi: LatticeIsometry, t_y: CoverTransfer, t_x: CoverTransfer):
     """All integral pairing-preserving lifts of a base isometry, or a
-    LiftFamily when the two squares leave rational freedom."""
+    LiftFamily when the two squares leave rational freedom.
+
+    M0 = (1/n) pull_X phi push_Y solves both squares; a cover without the
+    degree identity push o pull = n raises ValueError.  The homogeneous
+    solutions are the k l^T with k in ker push_X and l in ker pull_Y^T.
+    When both kernels are nonzero the family is returned, otherwise [M0]
+    when it is an integral isometry and [] when it is not.
+    """
     if t_y.degree != t_x.degree:
         raise ValueError(f"cover degrees differ: {t_y.degree} vs {t_x.degree}")
     if phi.source != t_y.base or phi.target != t_x.base:
         raise ValueError("isometry does not connect the two base lattices")
+    for t in (t_y,) if t_y is t_x else (t_y, t_x):
+        check = degree_identity(t)
+        if not check.passed:
+            raise ValueError(f"cover of {t.base.name} by {t.cover.name} violates axiom "
+                             f"'degree_identity': {check.detail}")
     pull_y, pull_x = t_y.pull_extended(), t_x.pull_extended()
     push_y, push_x = t_y.push_extended(), t_x.push_extended()
+    pulled = pull_x @ phi.mat
+    candidate = _over(pulled @ push_y, t_y.degree)
+    if candidate @ pull_y != pulled or push_x @ candidate != phi.mat @ push_y:
+        raise InvariantError("the closed-form lift fails a commuting square")
 
-    if pull_y.is_square and det(pull_y) != 0:
-        # pullback has finite-index image: the first square pins the lift
-        candidate = pull_x @ phi.mat @ inverse(pull_y)
+    if t_y.cover.dim > t_y.base.dim and t_x.cover.dim > t_x.base.dim:
+        rows = [list(row) for row in candidate.entries]
         directions = []
-    else:
-        solved = _solve_two_squares(phi.mat, pull_y, pull_x, push_y, push_x)
-        if solved is None:
-            return []
-        candidate, directions = solved
-        if directions:
-            return LiftFamily(candidate, tuple(directions))
-
-    if candidate @ pull_y != pull_x @ phi.mat:
+        ls = kernel_basis(pull_y.T)
+        for k in kernel_basis(push_x):
+            last_k = max(i for i, a in enumerate(k) if a)
+            for l in ls:
+                c = candidate[last_k, max(j for j, b in enumerate(l) if b)]
+                for i, a in enumerate(k):
+                    if a and c:
+                        rows[i] = [x - c * a * b for x, b in zip(rows[i], l)]
+                directions.append(Matrix([[a * b for b in l] for a in k]))
+        return LiftFamily(Matrix(rows), tuple(directions))
+    try:
+        return [LatticeIsometry(t_y.cover, t_x.cover, candidate)]
+    except ValueError:
         return []
-    if push_x @ candidate != phi.mat @ push_y:
-        return []
-    if not candidate.is_integral:
-        return []
-    m_src = t_y.cover.mukai_gram()
-    m_tgt = t_x.cover.mukai_gram()
-    if candidate.T @ m_tgt @ candidate != m_src:
-        return []
-    return [LatticeIsometry(t_y.cover, t_x.cover, candidate)]

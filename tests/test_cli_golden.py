@@ -31,6 +31,8 @@ ZERO10 = ",".join("0" * 10)
 B2 = "--cover-y bielliptic_cover_2 --cover-x bielliptic_cover_2"
 E10 = "--cover-y bench_enriques_cover --cover-x bench_enriques_cover"
 SPLIT = "--cover-y golden_split_cover --cover-x golden_split_cover"
+BAD = "--cover-y golden_bad_cover --cover-x golden_bad_cover"
+K3_18 = "--cover-y enriques_k3_18_cover --cover-x enriques_k3_18_cover --defs tests/data/enriques_k3_18.defs"
 
 SCRIPT = f"""
 surface show enriques_toy
@@ -132,6 +134,10 @@ lift-map {B2} --mat [1,0;0,1]
 avg verify --trials 0
 cover validate golden_bad_cover --defs tests/data/golden.defs
 chi --surface abelian_ppav --e 1,0;0 --f 4,2;1 --records --records
+lift-map {BAD} --mat {I4} {EXTRA}
+avg verify --max-order 0
+avg verify --max-dim 0
+lift-map {K3_18} --mat {I12} --records
 """
 
 

@@ -1,5 +1,5 @@
-"""Property tests of the exact elimination, of the averaging identity and
-of the pairings on the extended lattice.
+"""Property tests of the exact elimination, of the averaging identity, of
+the pairings on the extended lattice and of lifting isometries.
 
 Every result of rref, kernel_basis, solve_rational, det and inverse is
 compared with a plain Gauss-Jordan elimination over Fraction written out
@@ -8,6 +8,7 @@ below, which shares no code with the library.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,8 @@ from fmlattice.averaging import (
 import fmlattice
 from fmlattice import covers
 from fmlattice.catalog import builtin_catalog
-from fmlattice.covers import chi_adjunction_check
+from fmlattice.covers import chi_adjunction_check, validate_cover
+from fmlattice.defsio import load_definitions
 from fmlattice.lattice import Matrix, det, inverse, kernel_basis, rank, rref, solve_rational
 from fmlattice.surfaces import (
     ChernCharacter,
@@ -34,6 +36,15 @@ from fmlattice.surfaces import (
     euler_pairing,
     mukai_pairing,
     mukai_vector,
+)
+from fmlattice.transport import (
+    LatticeIsometry,
+    LiftFamily,
+    descend_isometry,
+    lift_isometry,
+    minus_one,
+    num_negation,
+    tensor_twist,
 )
 
 SETTINGS = settings(max_examples=100, deadline=None,
@@ -292,3 +303,63 @@ def test_coords_round_trip(e):
 def test_one_class_object_for_every_role():
     assert ChernCharacter is MukaiVector is ExtendedVector
     assert covers.ExtendedVector is fmlattice.ExtendedVector is ExtendedVector
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _with_defs(catalog, name, allow_invalid=False):
+    text = (DATA / name).read_text(encoding="utf-8")
+    return catalog.extend(load_definitions(text, allow_invalid=allow_invalid,
+                                           registry=catalog.registry()))
+
+
+LIFT_CATALOG = _with_defs(_with_defs(CATALOG, "golden.defs", allow_invalid=True),
+                          "enriques_k3_18.defs")
+FAMILY_COVERS = ["enriques_k3_18_cover", "golden_split_cover"]
+VALID_BUILTIN_COVERS = [name for name, t in sorted(CATALOG.covers.items())
+                        if validate_cover(t).passed]
+
+
+def isometry_word(surface, picks):
+    """The product of line-bundle twists by basis divisors and their
+    negatives, total negation and negation on Num, chosen by picks."""
+    moves = [minus_one(surface), num_negation(surface)]
+    for j in range(surface.dim):
+        e = tuple([int(i == j) for i in range(surface.dim)])
+        moves += [tensor_twist(surface, e), tensor_twist(surface, tuple([-x for x in e]))]
+    mat = Matrix.identity(surface.extended_dim())
+    for k in picks:
+        mat = mat @ moves[k % len(moves)].mat
+    return LatticeIsometry(surface, surface, mat)
+
+
+picks = st.lists(st.integers(0, 1000), max_size=4)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FAMILY_COVERS), picks, st.data())
+def test_every_lift_family_member_satisfies_both_squares(name, word, data):
+    t = LIFT_CATALOG.covers[name]
+    phi = isometry_word(t.base, word)
+    family = lift_isometry(phi, t, t)
+    assert isinstance(family, LiftFamily)
+    coeffs = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7),
+                                min_size=len(family.directions),
+                                max_size=len(family.directions)))
+    member = family.particular
+    for c, d in zip(coeffs, family.directions):
+        member = member + d.scale(c)
+    assert member @ t.pull_extended() == t.pull_extended() @ phi.mat
+    assert t.push_extended() @ member == phi.mat @ t.push_extended()
+
+
+@SETTINGS
+@given(st.sampled_from(VALID_BUILTIN_COVERS), picks)
+def test_lift_then_descend_returns_the_isometry(name, word):
+    t = CATALOG.covers[name]
+    phi = isometry_word(t.base, word)
+    lifts = lift_isometry(phi, t, t)
+    assert len(lifts) == 1
+    back = descend_isometry(lifts[0], t, t)
+    assert back and back.isometry.mat == phi.mat

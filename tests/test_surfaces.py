@@ -106,6 +106,14 @@ class TestExactConstructor:
         with pytest.raises(TypeError):
             ExtendedVector(True, (0,), 0)
 
+    def test_bool_is_named_as_the_rejected_value(self):
+        for make in (lambda: ExtendedVector(True, (0,), 0),
+                     lambda: NumericalSurface("x", BilinearForm.from_rows([[2]]), True, 1)):
+            with pytest.raises(TypeError) as exc:
+                make()
+            assert str(exc.value) == "exact number expected, got bool True"
+            assert "matrix entry" not in str(exc.value)
+
     def test_character_rejects_float_rank(self):
         with pytest.raises(TypeError):
             ABELIAN.character(1.0, (0,), 0)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fmlattice.catalog import builtin_catalog
-from fmlattice.covers import CoverTransfer
+from fmlattice.covers import CoverTransfer, validate_cover
+from fmlattice.defsio import load_definitions
 from fmlattice.lattice import BilinearForm, Matrix
 from fmlattice.surfaces import NumericalSurface
 from fmlattice.transport import (
@@ -207,7 +209,6 @@ class TestLift:
         base = NumericalSurface("thin_base", BilinearForm.from_rows([[1]]), 0, 2)
         cover = NumericalSurface("wide_cover", BilinearForm.from_rows([[0, 1], [1, 0]]), 0, 1)
         t = CoverTransfer(base, cover, 2, Matrix([[1], [1]]), Matrix([[1, 1]]))
-        from fmlattice.covers import validate_cover
         assert validate_cover(t).passed
         result = lift_isometry(identity_isometry(base), t, t)
         assert isinstance(result, LiftFamily)
@@ -216,3 +217,53 @@ class TestLift:
         member = result.particular + result.directions[0]
         assert member @ t.pull_extended() == t.pull_extended()
         assert t.push_extended() @ member == t.push_extended()
+
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "enriques_k3_18.defs"
+
+
+class TestLiftRealisticRank:
+    """The cover of U + E8(-1) (rank 10) by U + E8(-1) + E8(-1) (rank 18)."""
+
+    @pytest.fixture(scope="class")
+    def cover(self):
+        text = FIXTURE.read_text(encoding="utf-8")
+        catalog = CATALOG.extend(load_definitions(text, registry=CATALOG.registry()))
+        return catalog.covers["enriques_k3_18_cover"]
+
+    def test_fixture_is_a_valid_cover(self, cover):
+        assert validate_cover(cover).passed
+        assert (cover.base.dim, cover.cover.dim) == (10, 18)
+
+    @pytest.mark.parametrize("make_phi", [identity_isometry, num_negation])
+    def test_family_dimension(self, cover, make_phi):
+        # push o pull = 2 makes push_X onto and pull_Y one-to-one over Q,
+        # so ker push_X and ker pull_Y^T both have dimension 20 - 12, and
+        # the homogeneous solutions are their outer products.
+        d_cover, d_base = cover.cover.dim + 2, cover.base.dim + 2
+        phi = make_phi(cover.base)
+        family = lift_isometry(phi, cover, cover)
+        assert isinstance(family, LiftFamily)
+        assert len(family.directions) == (d_cover - d_base) * (d_cover - d_base) == 64
+        assert family.particular @ cover.pull_extended() == cover.pull_extended() @ phi.mat
+        assert cover.push_extended() @ family.particular == phi.mat @ cover.push_extended()
+
+    def test_particular_is_zero_where_each_direction_is_one(self, cover):
+        family = lift_isometry(num_negation(cover.base), cover, cover)
+        for d in family.directions:
+            last = max((i, j) for i in range(d.nrows) for j in range(d.ncols) if d[i, j])
+            assert d[last] == 1 and family.particular[last] == 0
+            assert all(other[last] == 0 for other in family.directions if other is not d)
+
+
+class TestLiftPrecondition:
+    def test_cover_without_degree_identity_is_refused(self):
+        # pull = diag(1, 2), push = id: push o pull = diag(1, 2), not 2
+        base = CATALOG.surfaces["bielliptic_2"]
+        t = CoverTransfer(base, PRODUCT, 2, Matrix([[1, 0], [0, 2]]), Matrix.identity(2))
+        assert "degree_identity" in validate_cover(t).failed_names()
+        with pytest.raises(ValueError, match="cover of bielliptic_2 by product_elliptic "
+                                             "violates axiom 'degree_identity'"):
+            lift_isometry(identity_isometry(base), t, t)
+        with pytest.raises(ValueError, match="degree_identity"):
+            lift_isometry(identity_isometry(base), BI2, t)
