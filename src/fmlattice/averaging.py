@@ -11,6 +11,12 @@ of invariant morphisms: if B s lies in a g-stable subspace V, some k in V
 has B k = B s, and t = s - k is an invariant representative of s modulo
 V.  descend_invariant computes such a t constructively.
 
+CyclicRep is the one cyclic-action type (transport.GActionLattice is a
+CyclicRep of an extended lattice).  Its stated order n is checked once,
+by the power g^n = 1; loops run to the true order t, the first k >= 1
+with g^k = 1, which divides n and, for finite order over Q, is bounded
+in terms of the dimension.  N is n/t times the sum of powers().
+
 Everything is done over the exact rationals.  The kernel/image identity
 for a matrix with rational entries is independent of the field extension,
 and complex-only irreducibles (scalar action by a primitive root of
@@ -46,30 +52,35 @@ class CyclicRep:
     dim: int
     gen: Matrix
 
-    def __post_init__(self):
+    def __post_init__(self, where: str = "", integral: bool = False):
+        # GActionLattice passes where its generator acts and integral=True
         if self.order < 1:
             raise ValueError("order must be a positive integer")
         if not (self.gen.is_square and self.gen.nrows == self.dim):
-            raise DimensionError("generator must be a square matrix of the stated dimension")
+            raise DimensionError(f"generator must be {self.dim}x{self.dim}{where}")
+        if integral and not self.gen.is_integral:
+            raise ValueError("generator must map the integral extended lattice to itself")
         if self.gen.power(self.order) != Matrix.identity(self.dim):
-            raise ValueError(f"generator does not satisfy g^{self.order} = 1")
+            raise ValueError(f"generator does not have order dividing {self.order}")
+
+    def powers(self) -> list:
+        """g^0, .., g^(t-1) for the true order t; built on every call."""
+        one = Matrix.identity(self.dim)
+        result = [one]
+        while len(result) < self.order:  # the gate proved g^order = 1
+            current = self.gen if len(result) == 1 else result[-1] @ self.gen
+            if current == one:
+                break
+            result.append(current)
+        return result
 
 
 def norm_operator(rep: CyclicRep) -> Matrix:
-    """Sum of all powers of the generator.
-
-    The sum runs over the generator's true order t, the first k >= 1 with
-    g^k = 1, which divides the stated order; each power g^k then occurs
-    order / t times in the full sum.
-    """
-    one = Matrix.identity(rep.dim)
-    total = current = one
-    for t in range(1, rep.order):
-        current = current @ rep.gen
-        if current == one:
-            return total.scale(rep.order // t)
-        total = total + current
-    return total
+    """Sum of all powers of the generator: order / t times the sum of the
+    t powers up to the true order t."""
+    pows = rep.powers()
+    total = sum(pows[1:], pows[0])
+    return total if len(pows) == rep.order else total.scale(rep.order // len(pows))
 
 
 def difference_operator(rep: CyclicRep) -> Matrix:

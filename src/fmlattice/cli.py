@@ -5,12 +5,12 @@ byte-identical output.  Exit codes: 0 on success, 1 for mathematically
 negative results (not free, no solution, a failed check) when --strict is
 set, 2 for input errors of any kind.
 
-Vectors are written inline as  r,c1,..,cd;ch2  (the degree-4 part may be
-a fraction like 1/2), or named after a catalog vector.  Matrices use the
-definitions-format literal [a,b;c,d].  Additional definitions files are
-loaded with --defs, repeatable, on top of the built-in catalog.  Each file
-is read on every call, and parsed and validated once per distinct content
-per process.
+Vectors are written inline as  r,c1,..,cd;ch2  with the numbers of the
+definitions format (the degree-4 part may be a fraction like 1/2), or
+named after a catalog vector.  Matrices use the definitions-format
+literal [a,b;c,d].  Additional definitions files are loaded with --defs,
+repeatable, on top of the built-in catalog.  Each file is read on every
+call, and parsed and validated once per distinct content per process.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import functools
 import random
 import shlex
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .averaging import random_rep, verify_ker_im
 from .catalog import EXAMPLE_IDS, Catalog, builtin_catalog, reproduce
 from .covers import chi_adjunction_check, pullback_ch, pushforward_ch, validate_cover
-from .defsio import DefsError, load_definitions, parse_matrix_text
+from .defsio import DefsError, load_definitions, parse_matrix_text, parse_number_text
 from .descent import divisibility_obstruction, freeness_gcd
 from .surfaces import ExtendedVector, euler_pairing, moduli_dim_expectation, mukai_pairing, mukai_vector
 from .transport import (
@@ -94,9 +93,9 @@ def _parse_inline_triple(text: str, dim: int, what: str):
         left, _, right = text.partition(";")
         if not right:
             raise ValueError
-        head = [int(x) for x in left.split(",")]
-        tail = Fraction(right)
-    except (ValueError, ZeroDivisionError):
+        head = [parse_number_text(x, allow_fraction=False) for x in left.split(",")]
+        tail = parse_number_text(right)
+    except ValueError:
         raise DefsError(
             f"bad {what} {text!r}; expected r,c1,..,cd;ch2") from None
     if len(head) != dim + 1:

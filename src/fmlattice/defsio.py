@@ -24,6 +24,7 @@ offending block and condition.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -69,6 +70,9 @@ _FIELDS = {
     "vector": ("on", "r", "c", "ch2"),
     "action": ("on", "order", "gen"),
 }
+
+
+_NUMBER = re.compile(r"-?\d[\d/]*")  # what _tokenize reads as one number
 
 
 class _Token(NamedTuple):
@@ -291,6 +295,13 @@ def _want_matrix(tokens, key_tok, allow_fraction):
         return Matrix(rows)
     except ValueError as exc:
         raise DefsParseError(str(exc), key_tok.line, key_tok.column) from None
+
+
+def parse_number_text(text: str, allow_fraction=True):
+    """Parse a standalone INT, or RAT when allow_fraction, like '-3/2'."""
+    if not _NUMBER.fullmatch(text):
+        raise DefsParseError(f"bad number {text!r}", 1, 1)
+    return _parse_number(_Token("number", text, 1, 1), allow_fraction)
 
 
 def parse_matrix_text(text: str, allow_fraction=True) -> Matrix:

@@ -74,19 +74,21 @@ def freeness_gcd(t: CoverTransfer, e: ExtendedVector) -> GcdCertificate:
 def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVector:
     """Sum of (g^i)* e over i = 0..m-1 for a divisor m of the action order.
 
-    Raises InvariantError when the sum has a non-integral rank or divisor
-    coordinate (possible when the action mixes s into r or c and s is
-    half-integral)."""
+    It is (m // t) S_t + S_(m mod t), S_k summing the first k terms, t
+    the true order of g.  Raises InvariantError when the sum has a
+    non-integral rank or divisor coordinate (possible when the action
+    mixes s into r or c and s is half-integral)."""
     if m < 1 or action.order % m:
         raise ValueError(f"{m} does not divide the action order {action.order}")
     coords = e.coords()
-    if len(coords) != action.gen.nrows:
+    if len(coords) != action.dim:
         raise ValueError(f"class does not live on {action.surface.name}")
-    total = list(coords)
-    current = coords
-    for _ in range(m - 1):
-        current = action.gen.apply(current)
-        total = [a + b for a, b in zip(total, current)]
+    pows = action.powers()
+    q, rest = divmod(m, len(pows))
+    total = [0] * len(coords)
+    for i, p in enumerate(pows[:m]):
+        weight = q + (i < rest)
+        total = [a + weight * b for a, b in zip(total, p.apply(coords))]
     return ExtendedVector.from_coords(tuple(total))
 
 

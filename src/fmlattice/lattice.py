@@ -114,14 +114,8 @@ class Matrix:
     def entries(self) -> tuple:
         return self._e
 
-    def row(self, i: int) -> tuple:
-        return self._e[i]
-
     def column(self, j: int) -> tuple:
         return tuple([r[j] for r in self._e])
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
 
     def __getitem__(self, ij):
         i, j = ij

@@ -156,18 +156,11 @@ class NumericalSurface:
     def is_integral_class(self, r, c, s) -> bool:
         """Whether (r, c, s) is the character of an honest integral class:
         integer rank and divisor, and 2s + c^2 an even integer."""
-        r = as_rational(r)
-        s = as_rational(s)
-        if not isinstance(r, int):
+        try:
+            self.character(r, c, s)
+        except InvariantError:
             return False
-        cc = []
-        for x in c:
-            x = as_rational(x)
-            if not isinstance(x, int):
-                return False
-            cc.append(x)
-        parity = 2 * Fraction(s) + self.num.pair(tuple(cc), tuple(cc))
-        return parity.denominator == 1 and parity % 2 == 0
+        return True
 
 
 def euler_pairing(surface: NumericalSurface, e, f) -> int:

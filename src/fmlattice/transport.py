@@ -10,7 +10,8 @@ twist by.  That collapse is the central modeling choice of the package.
 Three solvers live here.
 
 check_equivariant finds the group automorphism mu (as exponents) with
-g* o phi = phi o mu(g)* whenever one exists.
+g* o phi = phi o mu(g)* whenever one exists, looping over the true
+orders of the two generators (see averaging.CyclicRep), not the stated one.
 
 descend_isometry takes an isometry of cover lattices and produces the
 unique candidate on base lattices pinned down by the pushforward square;
@@ -35,47 +36,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+from .averaging import CyclicRep
 from .covers import CoverTransfer, degree_identity
 from .lattice import DimensionError, Matrix, kernel_basis
 from .surfaces import InvariantError, NumericalSurface
 
 
-@dataclass(frozen=True)
-class GActionLattice:
-    """The extended-lattice action of a generator of a cyclic group.
-
-    The matrix must have the stated finite order, preserve the Mukai
-    pairing and map the integral extended lattice into itself.
-    """
+@dataclass(frozen=True, init=False)
+class GActionLattice(CyclicRep):
+    """The extended-lattice action of a generator of a cyclic group: a
+    CyclicRep of dimension surface.extended_dim() on a surface with
+    trivial canonical class, whose generator is integral and preserves
+    the Mukai pairing."""
 
     surface: NumericalSurface
-    order: int
-    gen: Matrix
+
+    def __init__(self, surface: NumericalSurface, order: int, gen: Matrix):
+        object.__setattr__(self, "surface", surface)
+        super().__init__(order, surface.extended_dim(), gen)
 
     def __post_init__(self):
         if self.surface.canonical_order != 1:
             raise ValueError(
                 f"group actions live on covers; {self.surface.name} has nontrivial canonical order")
-        if self.order < 1:
-            raise ValueError("order must be a positive integer")
-        d = self.surface.extended_dim()
-        if not (self.gen.is_square and self.gen.nrows == d):
-            raise DimensionError(f"generator must be {d}x{d} for {self.surface.name}")
-        if not self.gen.is_integral:
-            raise ValueError("generator must map the integral extended lattice to itself")
-        if self.gen.power(self.order) != Matrix.identity(d):
-            raise ValueError(f"generator does not have order dividing {self.order}")
+        super().__post_init__(f" for {self.surface.name}", integral=True)
         m = self.surface.mukai_gram()
         if self.gen.T @ m @ self.gen != m:
             raise ValueError("generator does not preserve the Mukai pairing")
-
-    def powers(self) -> list:
-        result = [Matrix.identity(self.gen.nrows)]
-        for _ in range(self.order - 1):
-            result.append(result[-1] @ self.gen)
-        return result
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,8 @@ def check_equivariant(phi: LatticeIsometry, a_y: GActionLattice,
     Returns the list [mu(g^0), .., mu(g^{n-1})] as exponents when an
     automorphism satisfying every equation exists, None otherwise.  When
     several exponents work (actions that are not faithful on the lattice)
-    the identity automorphism is preferred.
+    the smallest is taken, so the identity automorphism is preferred.
+    Whether a unit k works depends on k mod t_y, the true order of g_y.
     """
     if a_y.order != a_x.order:
         raise ValueError(
@@ -157,22 +147,21 @@ def check_equivariant(phi: LatticeIsometry, a_y: GActionLattice,
     if phi.source != a_y.surface or phi.target != a_x.surface:
         raise ValueError("isometry does not connect the two action lattices")
     n = a_y.order
-    if n == 1:
-        return [0]
     pows_y = a_y.powers()
+    t_y = len(pows_y)
     lhs = a_x.gen @ phi.mat
-    units = [k for k in range(1, n) if gcd(k, n) == 1]
-    candidates = [k for k in units if lhs == phi.mat @ pows_y[k]]
-    if not candidates:
+    # a unit residue mod t_y lifts to a unit mod n, as t_y divides n
+    works = {r for r in range(t_y) if gcd(r, t_y) == 1 and lhs == phi.mat @ pows_y[r]}
+    if not works:
         return None
-    k = 1 if 1 in candidates else candidates[0]
+    k = next(k for k in range(1, n + 1) if k % t_y in works and gcd(k, n) == 1)
     pows_x = a_x.powers()
-    exponents = [(j * k) % n for j in range(n)]
+    t_x = len(pows_x)
     # the generator equation iterates to all of G; verify anyway
-    for j in range(n):
-        if pows_x[j] @ phi.mat != phi.mat @ pows_y[exponents[j]]:
+    for j in range(lcm(t_x, t_y)):
+        if pows_x[j % t_x] @ phi.mat != phi.mat @ pows_y[j * k % t_y]:
             return None
-    return exponents
+    return [j * k % n for j in range(n)]
 
 
 def _over(m: Matrix, n: int) -> Matrix:

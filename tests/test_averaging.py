@@ -167,12 +167,18 @@ class TestDescendInvariant:
 
 class TestConstruction:
     def test_rejects_wrong_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^generator does not have order dividing 3$"):
             CyclicRep(3, 2, Matrix([[-1, 0], [0, 1]]))
 
     def test_rejects_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^generator must be 3x3$"):
             CyclicRep(2, 3, Matrix.identity(2))
+
+    def test_powers_stop_at_the_true_order(self):
+        swap = Matrix([[0, 1], [1, 0]])
+        assert CyclicRep(12, 2, swap).powers() == [Matrix.identity(2), swap]
+        assert CyclicRep(10**9, 2, Matrix.identity(2)).powers() == [Matrix.identity(2)]
+        assert len(regular_rep(6).powers()) == 6
 
     def test_cyclotomic_polynomials(self):
         assert _cyclotomic(1) == (-1, 1)

@@ -138,6 +138,8 @@ lift-map {BAD} --mat {I4} {EXTRA}
 avg verify --max-order 0
 avg verify --max-dim 0
 lift-map {K3_18} --mat {I12} --records
+chi --surface k3_toy --e 1,0;0 --f 1,0;1e9999
+chi --surface k3_toy --e 1,0;0 --f 1,0;0.5
 """
 
 

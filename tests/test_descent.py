@@ -140,6 +140,14 @@ class TestOrbitSum:
             orbit_sum(action, ExtendedVector(1, (0, 0), Fraction(1, 2)), 2)
         assert orbit_sum(action, ExtendedVector(1, (0, 0), 1), 2) == ExtendedVector(2, (0, 0), 2)
 
+    def test_huge_stated_order_sums_one_period(self):
+        surface = CATALOG.surfaces["product_elliptic"]
+        swap = CATALOG.actions["swap"].gen
+        action = GActionLattice(surface, 10**9, swap)
+        f1 = ExtendedVector(0, (1, 0), 0)
+        assert orbit_sum(action, f1, 10**9) == ExtendedVector(0, (5 * 10**8, 5 * 10**8), 0)
+        assert orbit_sum(action, f1, 5) == ExtendedVector(0, (3, 2), 0)
+
     def test_rejects_non_divisor(self):
         action = CATALOG.actions["swap"]
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Property tests of the exact elimination, of the averaging identity, of
-the pairings on the extended lattice and of lifting isometries.
+the pairings on the extended lattice, of lifting isometries and of the
+cyclic-action functions against loops over the stated order.
 
 Every result of rref, kernel_basis, solve_rational, det and inverse is
 compared with a plain Gauss-Jordan elimination over Fraction written out
@@ -7,7 +8,9 @@ below, which shares no code with the library.
 """
 
 import random
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fmlattice.averaging import (
+    CyclicRep,
     descend_invariant,
     difference_operator,
     norm_operator,
@@ -28,19 +32,34 @@ from fmlattice import covers
 from fmlattice.catalog import builtin_catalog
 from fmlattice.covers import chi_adjunction_check, validate_cover
 from fmlattice.defsio import load_definitions
-from fmlattice.lattice import Matrix, det, inverse, kernel_basis, rank, rref, solve_rational
+from fmlattice.descent import orbit_sum
+from fmlattice.lattice import (
+    BilinearForm,
+    Matrix,
+    det,
+    inverse,
+    kernel_basis,
+    rank,
+    rref,
+    solve_rational,
+)
 from fmlattice.surfaces import (
     ChernCharacter,
     ExtendedVector,
+    InvariantError,
     MukaiVector,
+    NumericalSurface,
     euler_pairing,
     mukai_pairing,
     mukai_vector,
 )
 from fmlattice.transport import (
+    GActionLattice,
     LatticeIsometry,
     LiftFamily,
+    check_equivariant,
     descend_isometry,
+    identity_isometry,
     lift_isometry,
     minus_one,
     num_negation,
@@ -363,3 +382,105 @@ def test_lift_then_descend_returns_the_isometry(name, word):
     assert len(lifts) == 1
     back = descend_isometry(lifts[0], t, t)
     assert back and back.isometry.mat == phi.mat
+
+
+# The cyclic-action functions loop over the true order of the generator;
+# the references below loop over the stated order, as the definitions do.
+
+def reference_norm(rep):
+    total, power = Matrix.zero(rep.dim, rep.dim), Matrix.identity(rep.dim)
+    for _ in range(rep.order):
+        total, power = total + power, power @ rep.gen
+    return total
+
+
+def reference_equivariant(phi, a_y, a_x):
+    n = a_y.order
+    pows_y, pows_x = [Matrix.identity(a_y.dim)], [Matrix.identity(a_x.dim)]
+    for _ in range(n - 1):
+        pows_y.append(pows_y[-1] @ a_y.gen)
+        pows_x.append(pows_x[-1] @ a_x.gen)
+    for k in range(1, n + 1):
+        if gcd(k, n) == 1 and all(pows_x[j] @ phi.mat == phi.mat @ pows_y[j * k % n]
+                                  for j in range(n)):
+            return [j * k % n for j in range(n)]
+    return None
+
+
+def reference_orbit_sum(action, e, m):
+    total, current = [0] * action.dim, e.coords()
+    for _ in range(m):
+        total = [a + b for a, b in zip(total, current)]
+        current = action.gen.apply(current)
+    return ExtendedVector.from_coords(tuple(total))
+
+
+@SETTINGS
+@given(reps, st.integers(1, 4))
+def test_norm_and_ker_im_match_stated_order_loops(rep, multiple):
+    for r in (rep, CyclicRep(rep.order * multiple, rep.dim, rep.gen)):
+        n_op = norm_operator(r)
+        assert n_op == reference_norm(r)
+        report = verify_ker_im(r)
+        assert report.dim_ker_norm == r.dim - len(reference_rref(n_op.entries)[1])
+        assert report.rank_difference == len(
+            reference_rref(difference_operator(r).entries)[1])
+
+
+QUAD = NumericalSurface("quad", BilinearForm.from_rows([[0, 1], [1, 0]]), 0, 1)
+ROTATION = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])  # order 4 on QUAD
+ACTION_SURFACES = [s for _, s in sorted(CATALOG.surfaces.items()) if s.canonical_order == 1]
+
+
+def finite_order_isometries(surface):
+    """Isometries of finite order: +-1 on the whole lattice or on Num, and
+    the catalog swap or the rotation where they live."""
+    mats = [identity_isometry(surface).mat, minus_one(surface).mat, num_negation(surface).mat]
+    if surface is QUAD:
+        mats += [ROTATION, -ROTATION, ROTATION.power(3)]
+    if surface == CATALOG.actions["swap"].surface:
+        mats.append(CATALOG.actions["swap"].gen)
+    return mats
+
+
+def true_order(g):
+    t, power = 1, g
+    while power != Matrix.identity(g.nrows):
+        t, power = t + 1, power @ g
+    return t
+
+
+@st.composite
+def action_pairs(draw):
+    """Two actions of one stated order on one surface, each a conjugate of a
+    finite-order isometry, often with a non-faithful stated order, and a
+    lattice isometry phi; half the time a_x is phi a_y^k phi^-1.  QUAD,
+    the one surface with order-4 actions, is drawn half the time."""
+    surface = draw(st.one_of(st.just(QUAD), st.sampled_from(ACTION_SURFACES)))
+    phi = isometry_word(surface, draw(picks))
+    gens = []
+    for _ in range(2):
+        h = isometry_word(surface, draw(picks)).mat
+        base = draw(st.sampled_from(finite_order_isometries(surface)))
+        gens.append(h @ base @ inverse(h))
+    if draw(st.booleans()):
+        gens[1] = phi.mat @ gens[0].power(draw(st.sampled_from([1, 3]))) @ inverse(phi.mat)
+    n = lcm(true_order(gens[0]), true_order(gens[1])) * draw(st.sampled_from([1, 2, 3, 6]))
+    return phi, GActionLattice(surface, n, gens[0]), GActionLattice(surface, n, gens[1])
+
+
+@SETTINGS
+@given(action_pairs(), st.data())
+def test_equivariance_and_orbit_sums_match_stated_order_loops(case, data):
+    phi, a_y, a_x = case
+    for y, x in ((a_y, a_x), (a_x, a_y), (a_y, a_y)):
+        assert repr(check_equivariant(phi, y, x)) == repr(reference_equivariant(phi, y, x))
+    m = data.draw(st.sampled_from([d for d in range(1, a_y.order + 1) if a_y.order % d == 0]))
+    e = data.draw(characters(a_y.surface))
+    try:
+        expected = repr(reference_orbit_sum(a_y, e, m))
+    except InvariantError as exc:
+        with pytest.raises(InvariantError, match=re.escape(str(exc))):
+            orbit_sum(a_y, e, m)
+    else:
+        assert repr(orbit_sum(a_y, e, m)) == expected

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from fmlattice.averaging import CyclicRep
 from fmlattice.catalog import builtin_catalog
 from fmlattice.covers import CoverTransfer, validate_cover
 from fmlattice.defsio import load_definitions
 from fmlattice.lattice import BilinearForm, Matrix
-from fmlattice.surfaces import NumericalSurface
+from fmlattice.descent import orbit_sum
+from fmlattice.surfaces import ExtendedVector, NumericalSurface
 from fmlattice.transport import (
     GActionLattice,
     LatticeIsometry,
@@ -79,6 +81,29 @@ class TestIsometryTypes:
         with pytest.raises(ValueError):
             GActionLattice(CATALOG.surfaces["enriques_toy"], 2, Matrix.identity(3))
 
+    def test_action_is_a_cyclic_rep_without_a_power_table(self):
+        action = GActionLattice(PRODUCT, 6, SWAP_EXT)
+        assert isinstance(action, CyclicRep)
+        assert (action.order, action.dim, action.gen) == (6, 4, SWAP_EXT)
+        assert action.powers() == [Matrix.identity(4), SWAP_EXT]
+        assert set(vars(action)) == {"order", "dim", "gen", "surface"}
+        assert action == GActionLattice(PRODUCT, 6, SWAP_EXT)
+        assert "__post_init__" in vars(GActionLattice)
+
+    def test_action_checks_keep_their_order(self):
+        # a non-integral generator that also fails the order gate is
+        # reported as non-integral, and the shape before either
+        half = Matrix([[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+        with pytest.raises(ValueError, match="integral extended lattice"):
+            GActionLattice(PRODUCT, 2, half)
+        with pytest.raises(ValueError, match="^generator must be 4x4 for product_elliptic$"):
+            GActionLattice(PRODUCT, 2, Matrix([[Fraction(1, 2)]]))
+        with pytest.raises(ValueError, match="^order must be a positive integer$"):
+            GActionLattice(PRODUCT, 0, Matrix([[Fraction(1, 2)]]))
+        unipotent = Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(ValueError, match="^generator does not have order dividing 1000000000$"):
+            GActionLattice(PRODUCT, 10**9, unipotent)
+
 
 class TestOrderCompatibility:
     @pytest.mark.parametrize("nx", [1, 2, 3, 4, 6])
@@ -121,6 +146,28 @@ class TestEquivariance:
         mu = check_equivariant(phi, action, action)
         assert mu == [0, 1, 2, 3]
         assert sorted(mu) == [0, 1, 2, 3]  # a bijection of Z_4
+
+    def test_identity_action_products_do_not_grow_with_the_order(self, monkeypatch):
+        calls = []
+        matmul = Matrix.__matmul__
+
+        def counted(a, b):
+            calls.append(1)
+            return matmul(a, b)
+
+        counts = []
+        for n in (2, 10**6):
+            action = GActionLattice(PRODUCT, n, Matrix.identity(4))
+            e = ExtendedVector(1, (2, -1), Fraction(3, 2))
+            monkeypatch.setattr(Matrix, "__matmul__", counted)
+            calls.clear()
+            mu = check_equivariant(identity_isometry(PRODUCT), action, action)
+            total = orbit_sum(action, e, n)
+            counts.append(len(calls))
+            monkeypatch.setattr(Matrix, "__matmul__", matmul)
+            assert len(mu) == n and mu[-1] == n - 1
+            assert total == ExtendedVector(n, (2 * n, -n), Fraction(3 * n, 2))
+        assert counts[0] == counts[1] <= 6
 
     def test_inverse_exponent(self):
         # negation on Num conjugates the rotation into its inverse
