@@ -4,17 +4,14 @@ Grammar (UTF-8 text, '#' starts a comment running to end of line):
 
     file      := block*
     block     := kind ident "{" field* "}"
-    kind      := "surface" | "cover" | "vector" | "action"
-    field     := key value-list NEWLINE
-
-    surface fields:  rank INT, intersection MATRIX, chi_o INT,
-                     canonical_order INT
-    cover fields:    base IDENT, cover IDENT, degree INT, pull MATRIX,
-                     push MATRIX
-    vector fields:   on IDENT, r INT, c INTLIST, ch2 RAT
-    action fields:   on IDENT, order INT, gen MATRIX (rational entries)
-
+    field     := key value NEWLINE
+    value     := INT | RAT | IDENT | INTLIST | MATRIX
+    INTLIST   := INT ("," INT)*
     MATRIX    := "[" row (";" row)* "]" with comma-separated INT/RAT rows
+
+_SCHEMA, at the end of this module, is the one declaration of the block
+kinds, the fields of each kind and the value type of each field.  An
+IDENT value names a surface defined earlier or passed in the registry.
 
 Whitespace is free inside a block except that a field ends at the first
 newline outside brackets.  Parse errors carry line and column; semantic
@@ -24,7 +21,6 @@ offending block and condition.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -61,18 +57,6 @@ class CatalogEntry:
     id: str
     kind: str
     payload: object
-
-
-_KINDS = ("surface", "cover", "vector", "action")
-_FIELDS = {
-    "surface": ("rank", "intersection", "chi_o", "canonical_order"),
-    "cover": ("base", "cover", "degree", "pull", "push"),
-    "vector": ("on", "r", "c", "ch2"),
-    "action": ("on", "order", "gen"),
-}
-
-
-_NUMBER = re.compile(r"-?\d[\d/]*")  # what _tokenize reads as one number
 
 
 class _Token(NamedTuple):
@@ -131,86 +115,65 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _fail(message, tok):
+    raise DefsParseError(message, tok.line, tok.column)
 
-    def next(self, skip_newlines=True):
-        while self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            if skip_newlines and tok.kind == "newline":
-                continue
-            return tok
-        return None
 
-    def fail(self, message, tok=None):
-        if tok is None:
-            last = self.tokens[-1]
-            raise DefsParseError(message, last.line, last.column)
-        raise DefsParseError(message, tok.line, tok.column)
-
-    def expect_punct(self, text):
-        tok = self.next()
-        if tok is None or tok.kind != "punct" or tok.text != text:
-            self.fail(f"expected {text!r}", tok)
-        return tok
-
-    def blocks(self):
-        result = []
-        while True:
-            tok = self.next()
-            if tok is None:
-                return result
-            if tok.kind != "ident" or tok.text not in _KINDS:
-                self.fail(f"expected a block kind (one of {', '.join(_KINDS)})", tok)
-            kind = tok.text
-            name_tok = self.next()
-            if name_tok is None or name_tok.kind != "ident":
-                self.fail("expected a block identifier", name_tok)
-            self.expect_punct("{")
-            fields = self.fields(kind, name_tok.text)
-            result.append((kind, name_tok.text, fields, tok))
-
-    def fields(self, kind, block_id):
+def _blocks(tokens):
+    """The syntax pass: every block as (kind, id, fields, kind token), where
+    fields maps each key to (value tokens, key token)."""
+    end = tokens[-1]
+    rest = iter(tokens)
+    # newlines end field values and are skipped everywhere else; words
+    # shares rest's position, so the two can be read in turn
+    words = (tok for tok in rest if tok.kind != "newline")
+    blocks = []
+    for kind_tok in words:
+        kind = kind_tok.text
+        if kind_tok.kind != "ident" or kind not in _SCHEMA:
+            _fail(f"expected a block kind (one of {', '.join(_SCHEMA)})", kind_tok)
+        name = next(words, end)
+        if name.kind != "ident":
+            _fail("expected a block identifier", name)
+        brace = next(words, end)
+        if brace.text != "{":
+            _fail("expected '{'", brace)
         fields = {}
-        while True:
-            tok = self.next()
-            if tok is None:
-                self.fail(f"unterminated block {block_id!r}")
-            if tok.kind == "punct" and tok.text == "}":
-                return fields
-            if tok.kind != "ident":
-                self.fail("expected a field key", tok)
-            key = tok.text
-            if key not in _FIELDS[kind]:
-                self.fail(f"unknown field {key!r} in a {kind} block", tok)
+        closed = False
+        while not closed:
+            key_tok = next(words, None)
+            if key_tok is None:
+                _fail(f"unterminated block {name.text!r}", end)
+            key = key_tok.text
+            if key == "}":
+                break
+            if key_tok.kind != "ident":
+                _fail("expected a field key", key_tok)
+            if key not in _SCHEMA[kind][1]:
+                _fail(f"unknown field {key!r} in a {kind} block", key_tok)
             if key in fields:
-                self.fail(f"duplicate field {key!r}", tok)
-            fields[key] = (self.value_tokens(), tok)
-
-    def value_tokens(self):
-        # everything until the first newline at bracket depth zero
-        values = []
-        depth = 0
-        while True:
-            tok = self.next(skip_newlines=False)
-            if tok is None:
-                return values
-            if tok.kind == "newline":
-                if depth == 0:
-                    return values
-                continue
-            if tok.kind == "punct" and tok.text == "[":
-                depth += 1
-            elif tok.kind == "punct" and tok.text == "]":
-                depth -= 1
-            elif tok.kind == "punct" and tok.text == "}":
-                if depth == 0:
-                    self.pos -= 1
-                    return values
-            values.append(tok)
+                _fail(f"duplicate field {key!r}", key_tok)
+            # the value runs to the first newline outside brackets, or to
+            # the "}" that closes the block
+            values = []
+            depth = 0
+            for tok in rest:
+                text = tok.text
+                if text == "\n":
+                    if depth == 0:
+                        break
+                    continue
+                if text == "[":
+                    depth += 1
+                elif text == "]":
+                    depth -= 1
+                elif text == "}" and depth == 0:
+                    closed = True
+                    break
+                values.append(tok)
+            fields[key] = (values, key_tok)
+        blocks.append((kind, name.text, fields, kind_tok))
+    return blocks
 
 
 def _parse_number(tok, allow_fraction):
@@ -223,100 +186,102 @@ def _parse_number(tok, allow_fraction):
     except (ValueError, ZeroDivisionError):
         raise DefsParseError(f"bad number {tok.text!r}", tok.line, tok.column) from None
     if not allow_fraction and value.denominator != 1:
-        raise DefsParseError("expected an integer", tok.line, tok.column)
+        _fail("expected an integer", tok)
     return int(value) if value.denominator == 1 else value
 
 
-def _want_int(tokens, key_tok):
-    if len(tokens) != 1 or tokens[0].kind != "number":
-        raise DefsParseError(f"field {key_tok.text!r} takes a single integer",
-                             key_tok.line, key_tok.column)
-    return _parse_number(tokens[0], allow_fraction=False)
+# The value readers of _SCHEMA.  Each takes a field's value tokens, its key
+# token and the entries known so far, and returns the field's value.
+
+def _lone(tokens, key_tok, kind, what):
+    if len(tokens) != 1 or tokens[0].kind != kind:
+        _fail(f"field {key_tok.text!r} takes {what}", key_tok)
+    return tokens[0]
 
 
-def _want_rational(tokens, key_tok):
-    if len(tokens) != 1 or tokens[0].kind != "number":
-        raise DefsParseError(f"field {key_tok.text!r} takes a single rational",
-                             key_tok.line, key_tok.column)
-    return _parse_number(tokens[0], allow_fraction=True)
+def _int(tokens, key_tok, known):
+    return _parse_number(_lone(tokens, key_tok, "number", "a single integer"), False)
 
 
-def _want_ident(tokens, key_tok):
-    if len(tokens) != 1 or tokens[0].kind != "ident":
-        raise DefsParseError(f"field {key_tok.text!r} takes an identifier",
-                             key_tok.line, key_tok.column)
-    return tokens[0].text
+def _rational(tokens, key_tok, known):
+    return _parse_number(_lone(tokens, key_tok, "number", "a single rational"), True)
 
 
-def _want_int_list(tokens, key_tok):
+def _ref(kind):
+    """Reader of an identifier naming an earlier entry of the given kind."""
+    def read(tokens, key_tok, known):
+        ref = _lone(tokens, key_tok, "ident", "an identifier").text
+        entry = known.get(ref)
+        if entry is None or entry.kind != kind:
+            _fail(f"field {key_tok.text!r} references unknown {kind} {ref!r}", key_tok)
+        return entry.payload
+    return read
+
+
+def _int_list(tokens, key_tok, known):
     values = []
     expect_number = True
     for tok in tokens:
         if expect_number:
             if tok.kind != "number":
-                raise DefsParseError("expected an integer", tok.line, tok.column)
+                _fail("expected an integer", tok)
             values.append(_parse_number(tok, allow_fraction=False))
-        else:
-            if not (tok.kind == "punct" and tok.text == ","):
-                raise DefsParseError("expected ','", tok.line, tok.column)
+        elif tok.text != ",":
+            _fail("expected ','", tok)
         expect_number = not expect_number
     if not values or expect_number:
-        raise DefsParseError(f"field {key_tok.text!r} takes a comma-separated integer list",
-                             key_tok.line, key_tok.column)
+        _fail(f"field {key_tok.text!r} takes a comma-separated integer list", key_tok)
     return tuple(values)
 
 
-def _want_matrix(tokens, key_tok, allow_fraction):
-    if not tokens or tokens[0].text != "[" or tokens[-1].text != "]":
-        raise DefsParseError(f"field {key_tok.text!r} takes a bracketed matrix",
-                             key_tok.line, key_tok.column)
-    rows = [[]]
-    expect_number = True
-    for tok in tokens[1:-1]:
-        if tok.kind == "punct" and tok.text == ";":
-            if expect_number:
-                raise DefsParseError("empty matrix row", tok.line, tok.column)
-            rows.append([])
-            expect_number = True
-            continue
-        if expect_number:
-            if tok.kind != "number":
-                raise DefsParseError("expected a matrix entry", tok.line, tok.column)
-            rows[-1].append(_parse_number(tok, allow_fraction))
-            expect_number = False
-            continue
-        if not (tok.kind == "punct" and tok.text == ","):
-            raise DefsParseError("expected ',' or ';'", tok.line, tok.column)
+def _matrix(allow_fraction):
+    """Reader of a bracketed matrix, with rational entries if allowed."""
+    def read(tokens, key_tok, known):
+        if not tokens or tokens[0].text != "[" or tokens[-1].text != "]":
+            _fail(f"field {key_tok.text!r} takes a bracketed matrix", key_tok)
+        rows = [[]]
         expect_number = True
-    if expect_number or not rows[-1]:
-        raise DefsParseError(f"malformed matrix in field {key_tok.text!r}",
-                             key_tok.line, key_tok.column)
-    try:
-        return Matrix(rows)
-    except ValueError as exc:
-        raise DefsParseError(str(exc), key_tok.line, key_tok.column) from None
+        for tok in tokens[1:-1]:
+            if tok.text == ";":
+                if expect_number:
+                    _fail("empty matrix row", tok)
+                rows.append([])
+                expect_number = True
+            elif expect_number:
+                if tok.kind != "number":
+                    _fail("expected a matrix entry", tok)
+                rows[-1].append(_parse_number(tok, allow_fraction))
+                expect_number = False
+            elif tok.text == ",":
+                expect_number = True
+            else:
+                _fail("expected ',' or ';'", tok)
+        if expect_number or not rows[-1]:
+            _fail(f"malformed matrix in field {key_tok.text!r}", key_tok)
+        try:
+            return Matrix(rows)
+        except ValueError as exc:
+            raise DefsParseError(str(exc), key_tok.line, key_tok.column) from None
+    return read
 
 
 def parse_number_text(text: str, allow_fraction=True):
     """Parse a standalone INT, or RAT when allow_fraction, like '-3/2'."""
-    if not _NUMBER.fullmatch(text):
+    try:
+        tokens = _tokenize(text)
+    except DefsParseError:
+        tokens = []
+    # one number token and the end-of-text newline
+    if len(tokens) != 2 or tokens[0].kind != "number" or tokens[0].text != text:
         raise DefsParseError(f"bad number {text!r}", 1, 1)
-    return _parse_number(_Token("number", text, 1, 1), allow_fraction)
+    return _parse_number(tokens[0], allow_fraction)
 
 
 def parse_matrix_text(text: str, allow_fraction=True) -> Matrix:
     """Parse a standalone MATRIX literal like '[1,0;0,2]'."""
     tokens = [t for t in _tokenize(text) if t.kind != "newline"]
     anchor = _Token("ident", "matrix", 1, 1)
-    return _want_matrix(tokens, anchor, allow_fraction)
-
-
-def _require(fields, keys, kind, block_id, anchor):
-    missing = [k for k in keys if k not in fields]
-    if missing:
-        raise DefsParseError(
-            f"{kind} {block_id!r} is missing field(s): {', '.join(missing)}",
-            anchor.line, anchor.column)
+    return _matrix(allow_fraction)(tokens, anchor, None)
 
 
 def load_definitions(text: str, *, allow_invalid: bool = False,
@@ -330,53 +295,39 @@ def load_definitions(text: str, *, allow_invalid: bool = False,
     """
     known = dict(registry or {})
     entries = []
-    parser = _Parser(_tokenize(text))
-    for kind, block_id, fields, anchor in parser.blocks():
+    for kind, block_id, fields, kind_tok in _blocks(_tokenize(text)):
         if block_id in known:
             raise DefsError(f"duplicate id {block_id!r}")
-        _require(fields, _FIELDS[kind], kind, block_id, anchor)
-        builder = _BUILDERS[kind]
-        payload = builder(block_id, fields, known, allow_invalid)
+        build, readers = _SCHEMA[kind]
+        missing = [key for key in readers if key not in fields]
+        if missing:
+            _fail(f"{kind} {block_id!r} is missing field(s): {', '.join(missing)}", kind_tok)
+        values = {key: read(*fields[key], known) for key, read in readers.items()}
+        try:
+            payload = build(block_id, fields, allow_invalid, **values)
+        except DefsError:
+            raise
+        except ValueError as exc:
+            raise DefsError(f"{kind} {block_id!r}: {exc}") from None
         entry = CatalogEntry(block_id, kind, payload)
         known[block_id] = entry
         entries.append(entry)
     return entries
 
 
-def _lookup(known, ref, want_kind, field, key_tok):
-    entry = known.get(ref)
-    if entry is None or entry.kind != want_kind:
-        raise DefsParseError(f"field {field!r} references unknown {want_kind} {ref!r}",
-                             key_tok.line, key_tok.column)
-    return entry.payload
+# The builders of _SCHEMA.  Each takes the block id, its fields, the
+# allow_invalid flag and the values read, by field name; a ValueError it
+# raises names the block.
+
+def _surface(block_id, fields, allow_invalid, rank, intersection, chi_o, canonical_order):
+    if intersection.nrows != rank:
+        _fail(f"intersection matrix is {intersection.nrows}x{intersection.ncols}, rank says {rank}",
+              fields["intersection"][1])
+    return NumericalSurface(block_id, BilinearForm(rank, intersection), chi_o, canonical_order)
 
 
-def _build_surface(block_id, fields, known, allow_invalid):
-    rank_val = _want_int(*fields["rank"])
-    gram = _want_matrix(*fields["intersection"], allow_fraction=False)
-    chi_o = _want_int(*fields["chi_o"])
-    order = _want_int(*fields["canonical_order"])
-    key_tok = fields["intersection"][1]
-    if gram.nrows != rank_val:
-        raise DefsParseError(f"intersection matrix is {gram.nrows}x{gram.ncols}, rank says {rank_val}",
-                             key_tok.line, key_tok.column)
-    try:
-        form = BilinearForm(rank_val, gram)
-        return NumericalSurface(block_id, form, chi_o, order)
-    except ValueError as exc:
-        raise DefsError(f"surface {block_id!r}: {exc}") from None
-
-
-def _build_cover(block_id, fields, known, allow_invalid):
-    base = _lookup(known, _want_ident(*fields["base"]), "surface", "base", fields["base"][1])
-    cover = _lookup(known, _want_ident(*fields["cover"]), "surface", "cover", fields["cover"][1])
-    degree = _want_int(*fields["degree"])
-    pull = _want_matrix(*fields["pull"], allow_fraction=False)
-    push = _want_matrix(*fields["push"], allow_fraction=False)
-    try:
-        transfer = CoverTransfer(base, cover, degree, pull, push)
-    except ValueError as exc:
-        raise DefsError(f"cover {block_id!r}: {exc}") from None
+def _cover(block_id, fields, allow_invalid, base, cover, degree, pull, push):
+    transfer = CoverTransfer(base, cover, degree, pull, push)
     if not allow_invalid:
         report = validate_cover(transfer)
         if not report.passed:
@@ -386,31 +337,21 @@ def _build_cover(block_id, fields, known, allow_invalid):
     return transfer
 
 
-def _build_vector(block_id, fields, known, allow_invalid):
-    surface = _lookup(known, _want_ident(*fields["on"]), "surface", "on", fields["on"][1])
-    r = _want_int(*fields["r"])
-    c = _want_int_list(*fields["c"])
-    ch2 = _want_rational(*fields["ch2"])
-    try:
-        chern = surface.character(r, c, ch2)
-    except ValueError as exc:
-        raise DefsError(f"vector {block_id!r}: {exc}") from None
-    return VectorEntry(surface, chern)
+def _vector(block_id, fields, allow_invalid, on, r, c, ch2):
+    return VectorEntry(on, on.character(r, c, ch2))
 
 
-def _build_action(block_id, fields, known, allow_invalid):
-    surface = _lookup(known, _want_ident(*fields["on"]), "surface", "on", fields["on"][1])
-    order = _want_int(*fields["order"])
-    gen = _want_matrix(*fields["gen"], allow_fraction=True)
-    try:
-        return GActionLattice(surface, order, gen)
-    except ValueError as exc:
-        raise DefsError(f"action {block_id!r}: {exc}") from None
+def _action(block_id, fields, allow_invalid, on, order, gen):
+    return GActionLattice(on, order, gen)
 
 
-_BUILDERS = {
-    "surface": _build_surface,
-    "cover": _build_cover,
-    "vector": _build_vector,
-    "action": _build_action,
+# The definitions format: each block kind with its builder and its fields
+# in the order they are read, each with the reader of its value.
+_SCHEMA = {
+    "surface": (_surface, {"rank": _int, "intersection": _matrix(False), "chi_o": _int,
+                           "canonical_order": _int}),
+    "cover": (_cover, {"base": _ref("surface"), "cover": _ref("surface"), "degree": _int,
+                       "pull": _matrix(False), "push": _matrix(False)}),
+    "vector": (_vector, {"on": _ref("surface"), "r": _int, "c": _int_list, "ch2": _rational}),
+    "action": (_action, {"on": _ref("surface"), "order": _int, "gen": _matrix(True)}),
 }
