@@ -204,17 +204,21 @@ def random_rep(rng: random.Random, max_order: int = 12, max_dim: int = 20) -> Cy
     """
     order = rng.randint(1, max_order)
     dim = rng.randint(1, max_dim)
-    divisors = [k for k in range(1, order + 1) if order % k == 0]
+    # Euler's phi of each divisor k of order, from sum(phi(d) for d | k) = k.
+    # phi(k) >= sqrt(k/2), so no divisor above 2 dim^2 gives a block that fits.
+    totients = {}
+    for k in range(1, min(order, 2 * dim * dim) + 1):
+        if order % k == 0:
+            totients[k] = k - sum(t for d, t in totients.items() if k % d == 0)
     blocks = []
     filled = 0
     while filled < dim:
         remaining = dim - filled
         options = [Matrix([[1]])]
-        for k in divisors:
+        for k, phi in totients.items():
             if 1 < k <= remaining:
                 options.append(_cycle_matrix(k))
-            deg = len(_cyclotomic(k)) - 1
-            if 1 < k and deg <= remaining:
+            if 1 < k and phi <= remaining:
                 options.append(_companion(_cyclotomic(k)))
         block = rng.choice(options)
         blocks.append(block)

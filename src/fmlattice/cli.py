@@ -258,10 +258,12 @@ def _equivariant(ns, catalog):
 
 
 def _avg_verify(ns, catalog):
-    for flag, value in (("--trials", ns.trials), ("--max-order", ns.max_order),
-                        ("--max-dim", ns.max_dim)):
+    for flag, value, cap in (("--trials", ns.trials, 1000), ("--max-order", ns.max_order, 1000),
+                             ("--max-dim", ns.max_dim, 32)):
         if value < 1:
             raise DefsError(f"{flag} must be positive")
+        if value > cap:
+            raise DefsError(f"{flag} must be at most {cap}")
     rng = random.Random(ns.seed)
     reps = (random_rep(rng, max_order=ns.max_order, max_dim=ns.max_dim) for _ in range(ns.trials))
     failures = sum(not verify_ker_im(rep).holds for rep in reps)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,16 @@ class TestConstruction:
         assert _cyclotomic(4) == (1, 0, 1)
         assert _cyclotomic(6) == (1, -1, 1)
         assert _cyclotomic(12) == (1, 0, -1, 0, 1)
+
+    def test_random_rep_is_quick_for_any_max_order(self):
+        # only divisors up to 2 max_dim^2 can give a block, so the order's
+        # size does not matter
+        rng = random.Random(3)
+        start = time.perf_counter()
+        for _ in range(20):
+            rep = random_rep(rng, max_order=10**18, max_dim=8)
+            assert 1 <= rep.dim <= 8
+        assert time.perf_counter() - start < 5
 
     def test_random_rep_bounds(self):
         rng = random.Random(55)

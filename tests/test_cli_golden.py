@@ -140,6 +140,9 @@ avg verify --max-dim 0
 lift-map {K3_18} --mat {I12} --records
 chi --surface k3_toy --e 1,0;0 --f 1,0;1e9999
 chi --surface k3_toy --e 1,0;0 --f 1,0;0.5
+avg verify --trials 1001
+avg verify --max-order 1001
+avg verify --max-dim 33
 """
 
 

@@ -21,6 +21,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fmlattice.averaging import (
     CyclicRep,
+    _companion,
+    _cycle_matrix,
+    _cyclotomic,
+    _random_basis_pair,
     descend_invariant,
     difference_operator,
     norm_operator,
@@ -36,6 +40,7 @@ from fmlattice.descent import orbit_sum
 from fmlattice.lattice import (
     BilinearForm,
     Matrix,
+    block_diagonal,
     det,
     inverse,
     kernel_basis,
@@ -234,6 +239,41 @@ def test_det_and_inverse_match_reference(rows):
 
 reps = st.integers(0, 2**32).map(lambda seed: random_rep(random.Random(seed), max_order=12,
                                                          max_dim=10))
+
+
+def scan_all_divisors_random_rep(rng, max_order, max_dim):
+    """random_rep as it was before it bounded its divisor scan: it lists
+    every divisor of the order and builds every cyclotomic polynomial."""
+    order = rng.randint(1, max_order)
+    dim = rng.randint(1, max_dim)
+    divisors = [k for k in range(1, order + 1) if order % k == 0]
+    blocks = []
+    filled = 0
+    while filled < dim:
+        remaining = dim - filled
+        options = [Matrix([[1]])]
+        for k in divisors:
+            if 1 < k <= remaining:
+                options.append(_cycle_matrix(k))
+            deg = len(_cyclotomic(k)) - 1
+            if 1 < k and deg <= remaining:
+                options.append(_companion(_cyclotomic(k)))
+        block = rng.choice(options)
+        blocks.append(block)
+        filled += block.nrows
+    gen = block_diagonal(blocks)
+    basis, basis_inv = _random_basis_pair(rng, dim, unimodular=rng.random() < 0.75)
+    gen = basis @ gen @ basis_inv
+    return CyclicRep(order, dim, gen)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32), st.integers(1, 400), st.integers(1, 12))
+def test_random_rep_draws_as_the_full_divisor_scan(seed, max_order, max_dim):
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    rep = random_rep(rng, max_order=max_order, max_dim=max_dim)
+    assert rep == scan_all_divisors_random_rep(old_rng, max_order, max_dim)
+    assert rng.getstate() == old_rng.getstate()
 
 
 def in_span(vectors, v):
