@@ -31,6 +31,7 @@ here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import DimensionError, Matrix, block_diagonal
 from .surfaces import ExtendedVector, NumericalSurface, euler_pairing
@@ -66,12 +67,16 @@ class CoverTransfer:
         if (self.push_num.nrows, self.push_num.ncols) != (self.base.dim, self.cover.dim):
             raise DimensionError("push matrix shape does not match the two lattices")
 
+    @cached_property
     def pull_extended(self) -> Matrix:
-        """Pullback on H^0 + Num + H^4: rank preserved, point class times n."""
+        """Pullback on H^0 + Num + H^4: rank preserved, point class times n;
+        built once per transfer."""
         return block_diagonal([Matrix([[1]]), self.pull_num, Matrix([[self.degree]])])
 
+    @cached_property
     def push_extended(self) -> Matrix:
-        """Pushforward on H^0 + Num + H^4: rank times n, point class preserved."""
+        """Pushforward on H^0 + Num + H^4: rank times n, point class
+        preserved; built once per transfer."""
         return block_diagonal([Matrix([[self.degree]]), self.push_num, Matrix([[1]])])
 
 

@@ -120,7 +120,7 @@ def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> Obs
     n = t.degree
     if m < 1 or n % m:
         raise ValueError(f"{m} does not divide the cover degree {n}")
-    preimage = solve_rational(t.pull_extended(), tuple([m * x for x in e.coords()]))
+    preimage = solve_rational(t.pull_extended, tuple([m * x for x in e.coords()]))
     cert = freeness_gcd(t, e)
     if preimage is None:
         return ObstructionReport(

@@ -11,8 +11,20 @@ fraction-free elimination for reduced row-echelon forms (and so for
 kernels, rational solutions and inverses) and for determinants and ranks
 (Bareiss, with rational rows scaled to integers first), and
 pivot-and-reduce Smith normal form.  Matrices the kernel computes itself
-(sums and products of integer matrices, negations, transposes, reduced
+(sums of integer matrices, products, negations, transposes, reduced
 forms, inverses) skip the per-entry check.
+
+Products take one path for every operand, int or Fraction, at every
+size.  Each operand is cleared to integer rows over one common
+denominator; each row of the right operand is packed into one Python int
+of w-bit slots (Kronecker substitution: D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 44(10), 2009), so a row of the product is one sum of big-int
+multiples.  With k the inner dimension, every entry of the integer
+product lies in [-bias, bias] for bias = k max|A| max|B|, so after adding
+bias to every slot each slot holds a value in [0, 2 bias], and
+w = bit_length(2 bias) + 1 leaves no carry between slots.  Matrix.apply
+clears denominators the same way and sums int products.
 
 Tuples are built from lists, never straight from a generator, here and
 in the modules above.  tuple() over a generator allocates by resizing, and
@@ -25,7 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 
 class DimensionError(ValueError):
@@ -136,23 +150,48 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = list(zip(*other._e))
-        out = []
-        for row in self._e:
-            out_row = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc += a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return self._result(tuple(out), other)
+        a, da = _cleared(self._e, self._integral)
+        b, db = _cleared(other._e, other._integral)
+        # Kronecker substitution (Harvey, J. Symbolic Comput. 44(10), 2009):
+        # row k of b is packed as P_k = sum_j b[k][j] 2^(j w).  An entry of
+        # a b lies in [-bias, bias], bias = k max|a| max|b|, so each slot of
+        # bias_row + sum_k a[i][k] P_k holds entry + bias in [0, 2 bias],
+        # below 2^(w - 1) for w = bit_length(2 bias) + 1: no slot carries
+        # into the next, and mask and shift read the entries back.
+        bias = self.ncols * _max_abs(a) * _max_abs(b)
+        w = (2 * bias).bit_length() + 1
+        mask = (1 << w) - 1
+        shifts = range(0, other.ncols * w, w)
+        bias_row = bias * (((1 << (other.ncols * w)) - 1) // mask)  # bias in every slot
+        packed = []
+        for row in b:
+            p = 0
+            for x in reversed(row):
+                p = (p << w) + x
+            packed.append(p)
+        d = da * db
+        out, integral = [], True
+        for row in a:
+            acc = bias_row
+            for x, p in zip(row, packed):
+                if x:
+                    acc += x * p
+            entries = [((acc >> s) & mask) - bias for s in shifts]
+            if d != 1:
+                entries, ok = _divided(entries, d)
+                integral = integral and ok
+            out.append(tuple(entries))
+        return Matrix._trusted(tuple(out), integral)
 
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise DimensionError(f"vector of length {len(v)} against {self.nrows}x{self.ncols}")
-        return tuple([sum(a * b for a, b in zip(row, v)) for row in self._e])
+        rows, d = _cleared(self._e, self._integral)
+        if not all(type(x) is int for x in v):
+            (v,), dv = _cleared((vector(v),), False)
+            d *= dv
+        out = [sum(map(mul, row, v)) for row in rows]
+        return tuple(out if d == 1 else _divided(out, d)[0])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -174,8 +213,8 @@ class Matrix:
         return Matrix([[k * x for x in row] for row in self._e])
 
     def _result(self, rows, other) -> "Matrix":
-        # Sums and products of ints are ints; with a Fraction operand an
-        # entry may come out as a Fraction with denominator 1, so normalise.
+        # Sums of ints are ints; with a Fraction operand an entry may come
+        # out as a Fraction with denominator 1, so normalise.
         if self._integral and other._integral:
             return Matrix._trusted(rows, True)
         return Matrix(rows)
@@ -223,6 +262,33 @@ def block_diagonal(blocks) -> Matrix:
         i0 += b.nrows
         j0 += b.ncols
     return Matrix(rows)
+
+
+def _cleared(rows, integral: bool) -> tuple:
+    """Integer rows and one common denominator d, rows / d being the
+    given rows; integral rows come back as they are, with d = 1."""
+    if integral:
+        return rows, 1
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _max_abs(rows) -> int:
+    return max(map(abs, chain.from_iterable(rows)))
+
+
+def _divided(values, d: int) -> tuple:
+    """The ints values divided by d, as a list of ints where d divides and
+    Fractions elsewhere, and whether d divided every value."""
+    out, integral = [], True
+    for x in values:
+        q, r = divmod(x, d)
+        if r:
+            out.append(Fraction(x, d))
+            integral = False
+        else:
+            out.append(q)
+    return out, integral
 
 
 def _integer_rows(m: Matrix) -> tuple:
@@ -297,15 +363,8 @@ def rref(m: Matrix) -> tuple:
             break
     integral = True
     for i, c in enumerate(pivots):
-        p = a[i][c]
-        row = a[i]
-        for j, x in enumerate(row):
-            q, rem = divmod(x, p)
-            if rem:
-                row[j] = Fraction(x, p)
-                integral = False
-            else:
-                row[j] = q
+        a[i], ok = _divided(a[i], a[i][c])
+        integral = integral and ok
     return Matrix._trusted(tuple([tuple(row) for row in a]), integral), tuple(pivots)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import BilinearForm, DimensionError, Matrix, as_rational
 
@@ -141,9 +142,10 @@ class NumericalSurface:
     def extended_dim(self) -> int:
         return self.dim + 2
 
+    @cached_property
     def mukai_gram(self) -> Matrix:
         """Gram matrix of the Mukai pairing on H^0 + Num + H^4 in the
-        coordinates (r, c_1..c_d, s)."""
+        coordinates (r, c_1..c_d, s); built once per surface."""
         d = self.dim
         rows = [[0] * (d + 2) for _ in range(d + 2)]
         rows[0][d + 1] = -1

@@ -62,7 +62,7 @@ class GActionLattice(CyclicRep):
             raise ValueError(
                 f"group actions live on covers; {self.surface.name} has nontrivial canonical order")
         super().__post_init__(f" for {self.surface.name}", integral=True)
-        m = self.surface.mukai_gram()
+        m = self.surface.mukai_gram
         if self.gen.T @ m @ self.gen != m:
             raise ValueError("generator does not preserve the Mukai pairing")
 
@@ -83,7 +83,7 @@ class LatticeIsometry:
             raise DimensionError("matrix shape does not match the extended lattices")
         if not self.mat.is_integral:
             raise ValueError("isometry must map integral classes to integral classes")
-        if self.mat.T @ self.target.mukai_gram() @ self.mat != self.source.mukai_gram():
+        if self.mat.T @ self.target.mukai_gram @ self.mat != self.source.mukai_gram:
             raise ValueError("map does not preserve the Mukai pairings")
 
 
@@ -190,8 +190,8 @@ class DescentOutcome:
 
 def _descent_witness(t_y: CoverTransfer, t_x: CoverTransfer,
                      phi_t: LatticeIsometry, candidate: Matrix):
-    push_y = t_y.push_extended()
-    forced = t_x.push_extended() @ phi_t.mat
+    push_y = t_y.push_extended
+    forced = t_x.push_extended @ phi_t.mat
     bad_col = next(j for j in range(candidate.ncols)
                    if not all(isinstance(x, int) for x in candidate.column(j)))
     for i in range(push_y.ncols):
@@ -213,8 +213,8 @@ def descend_isometry(phi_t: LatticeIsometry, t_y: CoverTransfer,
         raise ValueError(f"cover degrees differ: {t_y.degree} vs {t_x.degree}")
     if phi_t.source != t_y.cover or phi_t.target != t_x.cover:
         raise ValueError("isometry does not connect the two cover lattices")
-    push_y, push_x = t_y.push_extended(), t_x.push_extended()
-    pull_y, pull_x = t_y.pull_extended(), t_x.pull_extended()
+    push_y, push_x = t_y.push_extended, t_x.push_extended
+    pull_y, pull_x = t_y.pull_extended, t_x.pull_extended
     candidate = _over(push_x @ phi_t.mat @ pull_y, t_y.degree)
     if not candidate.is_integral:
         witness = _descent_witness(t_y, t_x, phi_t, candidate)
@@ -262,8 +262,8 @@ def lift_isometry(phi: LatticeIsometry, t_y: CoverTransfer, t_x: CoverTransfer):
         if not check.passed:
             raise ValueError(f"cover of {t.base.name} by {t.cover.name} violates axiom "
                              f"'degree_identity': {check.detail}")
-    pull_y, pull_x = t_y.pull_extended(), t_x.pull_extended()
-    push_y, push_x = t_y.push_extended(), t_x.push_extended()
+    pull_y, pull_x = t_y.pull_extended, t_x.pull_extended
+    push_y, push_x = t_y.push_extended, t_x.push_extended
     pulled = pull_x @ phi.mat
     candidate = _over(pulled @ push_y, t_y.degree)
     if candidate @ pull_y != pulled or push_x @ candidate != phi.mat @ push_y:

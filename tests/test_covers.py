@@ -69,6 +69,14 @@ class TestValidateCover:
 
 
 class TestTransferMaps:
+    def test_extended_transfers_are_built_once_and_leave_equality_alone(self):
+        fresh = CoverTransfer(BI2.base, BI2.cover, BI2.degree, BI2.pull_num, BI2.push_num)
+        before = hash(fresh)
+        assert fresh.pull_extended is fresh.pull_extended
+        assert fresh.push_extended is fresh.push_extended
+        assert fresh.pull_extended == BI2.pull_extended and fresh.push_extended == BI2.push_extended
+        assert hash(fresh) == before == hash(BI2) and fresh == BI2
+
     def test_structure_sheaf_pulls_to_structure_sheaf(self):
         o = BI2.base.structure_class()
         assert pullback_ch(BI2, o) == ExtendedVector(1, (0, 0), 0)

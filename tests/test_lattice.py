@@ -79,6 +79,33 @@ class TestMatrixBasics:
         reduced = rref(Matrix([[2, 1], [4, 2]]))[0]
         assert reduced == Matrix([[1, Fraction(1, 2)], [0, 0]]) and not reduced.is_integral
 
+    def test_products_at_the_slot_bound(self):
+        # entries of +-k M^2 = +-bias fill a packed slot from end to end
+        for m in (1, 7, 2**64, 2**200 + 1):
+            for k in (1, 2, 5):
+                a = Matrix([[m] * k, [-m] * k])
+                b = Matrix([[m, -m, 0]] * k)
+                assert a @ b == Matrix([[k * m * m, -k * m * m, 0], [-k * m * m, k * m * m, 0]])
+                assert a.apply((m,) * k) == (k * m * m, -k * m * m)
+                half = b.scale(Fraction(1, 2))
+                assert a @ half == Matrix([[Fraction(k * m * m, 2), Fraction(-k * m * m, 2), 0],
+                                           [Fraction(-k * m * m, 2), Fraction(k * m * m, 2), 0]])
+
+    def test_apply_returns_ints_where_the_value_is_whole(self):
+        # the sum of Fractions 1/2 + 1/2 is the int 1, never Fraction(1, 1)
+        half = Matrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), 0]])
+        assert half.apply((1, 1)) == (1, Fraction(1, 3))
+        assert type(half.apply((1, 1))[0]) is int
+        assert [type(x) for x in half.apply((2, 6))] == [int, Fraction]
+        # a Fraction vector against an integer matrix
+        out = Matrix([[2, 4], [1, 1]]).apply((Fraction(1, 2), Fraction(1, 4)))
+        assert out == (2, Fraction(3, 4)) and type(out[0]) is int
+        assert all(type(x) is int for x in Matrix([[1, 2]]).apply((Fraction(4, 2), 1)))
+
+    def test_apply_rejects_inexact_vectors(self):
+        with pytest.raises(TypeError):
+            Matrix([[1, 2]]).apply((0.5, 1))
+
     def test_power(self):
         s = Matrix([[0, 1], [1, 0]])
         assert s.power(0) == Matrix.identity(2)

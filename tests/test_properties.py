@@ -1,10 +1,12 @@
-"""Property tests of the exact elimination, of the averaging identity, of
-the pairings on the extended lattice, of lifting isometries and of the
-cyclic-action functions against loops over the stated order.
+"""Property tests of the exact products and elimination, of the averaging
+identity, of the pairings on the extended lattice, of lifting isometries
+and of the cyclic-action functions against loops over the stated order.
 
-Every result of rref, kernel_basis, solve_rational, det and inverse is
-compared with a plain Gauss-Jordan elimination over Fraction written out
-below, which shares no code with the library.
+Every product and matrix-vector product is compared with a plain triple
+loop over Fraction, and every result of rref, kernel_basis,
+solve_rational, det and inverse with a plain Gauss-Jordan elimination
+over Fraction, both written out below and sharing no code with the
+library.
 """
 
 import random
@@ -73,6 +75,12 @@ from fmlattice.transport import (
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def reference_product(a, b):
+    """The triple loop over Fraction."""
+    return [[sum([Fraction(x) * Fraction(y) for x, y in zip(row, col)], Fraction(0))
+             for col in zip(*b)] for row in a]
 
 
 def reference_rref(rows):
@@ -167,6 +175,72 @@ def matrices(draw, rational=False, max_rows=8, max_cols=12, square=False):
         for row in rows:
             row[j] = 0
     return rows
+
+
+# Entries beyond 2^64 and 2^200, and at those powers, exercise the width
+# of the product's packed slots.
+WIDE = st.sampled_from([2**64, 2**64 + 1, 2**200 - 1, 2**200, 3**127]).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+PRODUCT_INTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**70, 2**70),
+                         st.integers(-2**210, 2**210), WIDE)
+PRODUCT_ENTRIES = {
+    "int": PRODUCT_INTS,
+    "fraction": st.builds(Fraction, PRODUCT_INTS, st.one_of(st.integers(1, 12), st.just(2**64 + 13))),
+}
+PRODUCT_ENTRIES["mixed"] = st.one_of(PRODUCT_ENTRIES["int"], PRODUCT_ENTRIES["fraction"])
+
+
+@st.composite
+def operand(draw, nrows, ncols):
+    """Rows of int, Fraction or mixed entries, or of one magnitude with
+    drawn signs, where product entries reach the bound k max|A| max|B|;
+    some rows zero, or all of them."""
+    kind = draw(st.sampled_from(sorted(PRODUCT_ENTRIES) + ["extreme"]))
+    if kind == "extreme":
+        magnitude = draw(st.one_of(st.integers(1, 9), WIDE.map(abs)))
+        entry = st.sampled_from([magnitude, -magnitude])
+    else:
+        entry = PRODUCT_ENTRIES[kind]
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zero_rows = range(nrows) if draw(st.integers(0, 9)) == 0 else draw(st.sets(st.integers(0, nrows - 1)))
+    for i in zero_rows:
+        rows[i] = [0] * ncols
+    return rows
+
+
+@st.composite
+def product_operands(draw):
+    """(A, B) with A n x k and B k x m; 1 x k and k x 1 shapes often."""
+    n, k, m = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["any", "row", "column", "dot"]))
+    n = 1 if shape in ("row", "dot") else n
+    m = 1 if shape in ("column", "dot") else m
+    return draw(operand(n, k)), draw(operand(k, m))
+
+
+@SETTINGS
+@given(product_operands())
+def test_product_matches_reference_triple_loop(operands):
+    a_rows, b_rows = operands
+    product = Matrix(a_rows) @ Matrix(b_rows)
+    assert [list(row) for row in product.entries] == reference_product(a_rows, b_rows)
+    assert (product.nrows, product.ncols) == (len(a_rows), len(b_rows[0]))
+    flat = [x for row in product.entries for x in row]
+    assert normalised(flat)
+    assert product.is_integral == all(type(x) is int for x in flat)
+
+
+@SETTINGS
+@given(product_operands())
+def test_apply_matches_reference_loop(operands):
+    a_rows, b_rows = operands
+    a = Matrix(a_rows)
+    expected = reference_product(a_rows, b_rows)
+    for j, column in enumerate(zip(*b_rows)):
+        image = a.apply(column)
+        assert list(image) == [row[j] for row in expected]
+        assert normalised(image)
 
 
 def check_rref(rows):
@@ -409,8 +483,8 @@ def test_every_lift_family_member_satisfies_both_squares(name, word, data):
     member = family.particular
     for c, d in zip(coeffs, family.directions):
         member = member + d.scale(c)
-    assert member @ t.pull_extended() == t.pull_extended() @ phi.mat
-    assert t.push_extended() @ member == phi.mat @ t.push_extended()
+    assert member @ t.pull_extended == t.pull_extended @ phi.mat
+    assert t.push_extended @ member == phi.mat @ t.push_extended
 
 
 @SETTINGS

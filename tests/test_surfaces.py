@@ -220,7 +220,7 @@ def test_surface_invariants_are_normalised():
 def test_mukai_gram_matches_pairing():
     rng = random.Random(8)
     for surface in (ABELIAN, PRODUCT, ENRIQUES):
-        gram = surface.mukai_gram()
+        gram = surface.mukai_gram
         for _ in range(10):
             e = random_character(rng, surface)
             f = random_character(rng, surface)
@@ -230,6 +230,14 @@ def test_mukai_gram_matches_pairing():
             coords_f = (vf.r,) + vf.c + (vf.s,)
             from fmlattice.lattice import dot
             assert dot(coords_e, gram.apply(coords_f)) == mukai_pairing(surface, ve, vf)
+
+
+def test_mukai_gram_is_built_once_and_leaves_equality_alone():
+    surface = NumericalSurface("product", BilinearForm.from_rows([[0, 1], [1, 0]]), 0, 1)
+    before = hash(surface)
+    assert surface.mukai_gram is surface.mukai_gram
+    assert hash(surface) == before and surface == PRODUCT and hash(surface) == hash(PRODUCT)
+    assert repr(surface) == repr(PRODUCT)
 
 
 def test_is_integral_class():

@@ -262,8 +262,8 @@ class TestLift:
         assert len(result.directions) == 1
         # every member satisfies both squares by construction
         member = result.particular + result.directions[0]
-        assert member @ t.pull_extended() == t.pull_extended()
-        assert t.push_extended() @ member == t.push_extended()
+        assert member @ t.pull_extended == t.pull_extended
+        assert t.push_extended @ member == t.push_extended
 
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "enriques_k3_18.defs"
@@ -292,8 +292,8 @@ class TestLiftRealisticRank:
         family = lift_isometry(phi, cover, cover)
         assert isinstance(family, LiftFamily)
         assert len(family.directions) == (d_cover - d_base) * (d_cover - d_base) == 64
-        assert family.particular @ cover.pull_extended() == cover.pull_extended() @ phi.mat
-        assert cover.push_extended() @ family.particular == phi.mat @ cover.push_extended()
+        assert family.particular @ cover.pull_extended == cover.pull_extended @ phi.mat
+        assert cover.push_extended @ family.particular == phi.mat @ cover.push_extended
 
     def test_particular_is_zero_where_each_direction_is_one(self, cover):
         family = lift_isometry(num_negation(cover.base), cover, cover)
