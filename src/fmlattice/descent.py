@@ -18,10 +18,11 @@ the base side through the adjunction chi(pull F, E) = chi(F, push E).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .covers import CoverTransfer, pushforward_ch
-from .lattice import gcd_all, solve_rational
-from .surfaces import ExtendedVector, NumericalSurface, euler_pairing
+from .lattice import as_rational, solve_rational
+from .surfaces import ExtendedVector, InvariantError, NumericalSurface, euler_pairing
 from .transport import GActionLattice
 
 
@@ -40,15 +41,19 @@ class GcdCertificate:
     free: bool
 
     def __post_init__(self):
-        if self.gcd != gcd_all(v for _, v in self.values):
+        if self.gcd != gcd(*[v for _, v in self.values]):
             raise ValueError("stated gcd does not match the listed values")
         if self.free != (self.gcd == 1):
             raise ValueError("freeness verdict must mean gcd = 1")
 
     @classmethod
     def from_values(cls, values) -> "GcdCertificate":
-        values = tuple([(str(label), int(v)) for label, v in values])
-        g = gcd_all(v for _, v in values)
+        """Each value is exact like ExtendedVector's coordinates: floats and
+        bools raise TypeError, a non-integer raises InvariantError."""
+        values = tuple([(str(label), as_rational(v)) for label, v in values])
+        if not all(isinstance(v, int) for _, v in values):
+            raise InvariantError(f"chi values {values} must be integers")
+        g = gcd(*[v for _, v in values])
         return cls(values, g, g == 1)
 
 

@@ -9,22 +9,26 @@ The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool:
 fraction-free elimination for reduced row-echelon forms (and so for
 kernels, rational solutions and inverses) and for determinants and ranks
-(Bareiss, with rational rows scaled to integers first), and
-pivot-and-reduce Smith normal form.  Matrices the kernel computes itself
-(sums of integer matrices, products, negations, transposes, reduced
-forms, inverses) skip the per-entry check.
+(Bareiss), and pivot-and-reduce Smith normal form.  Matrices the kernel
+computes itself (sums of integer matrices, products, negations,
+transposes, reduced forms, inverses, normal forms) skip the per-entry check.
+
+There is one way into the integers and one way out: _cleared writes a
+matrix as integer rows over one common denominator d (det divides by d^n
+at the end), and _divided divides ints exactly, to ints where it can and
+Fractions elsewhere, flagging whether all were ints.  Smith normal form
+works on one matrix [[m, I], [I, 0]]: row operations on its first nrows
+rows move m and U together, column operations on its first ncols m and V.
 
 Products take one path for every operand, int or Fraction, at every
-size.  Each operand is cleared to integer rows over one common
-denominator; each row of the right operand is packed into one Python int
-of w-bit slots (Kronecker substitution: D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44(10), 2009), so a row of the product is one sum of big-int
-multiples.  With k the inner dimension, every entry of the integer
-product lies in [-bias, bias] for bias = k max|A| max|B|, so after adding
-bias to every slot each slot holds a value in [0, 2 bias], and
-w = bit_length(2 bias) + 1 leaves no carry between slots.  Matrix.apply
-clears denominators the same way and sums int products.
+size.  Each operand is cleared; each row of the right operand is packed
+into one Python int of w-bit slots (Kronecker substitution: D. Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44(10), 2009), so a row of the product is one sum of
+big-int multiples.  With k the inner dimension, every entry of the
+integer product lies in [-bias, bias] for bias = k max|A| max|B|, so
+after adding bias to every slot each slot holds a value in [0, 2 bias],
+and w = bit_length(2 bias) + 1 leaves no carry between slots.
 
 Tuples are built from lists, never straight from a generator, here and
 in the modules above.  tuple() over a generator allocates by resizing, and
@@ -209,8 +213,10 @@ class Matrix:
         return Matrix._trusted(tuple([tuple([-x for x in row]) for row in self._e]), self._integral)
 
     def scale(self, k) -> "Matrix":
-        k = _exact(k if not isinstance(k, str) else Fraction(k))
-        return Matrix([[k * x for x in row] for row in self._e])
+        k = Fraction(as_rational(k))
+        rows, d = _cleared(self._e, self._integral)
+        out = [_divided([k.numerator * x for x in row], d * k.denominator) for row in rows]
+        return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
 
     def _result(self, rows, other) -> "Matrix":
         # Sums of ints are ints; with a Fraction operand an entry may come
@@ -291,28 +297,15 @@ def _divided(values, d: int) -> tuple:
     return out, integral
 
 
-def _integer_rows(m: Matrix) -> tuple:
-    """The rows of m as lists of ints, each multiplied by the lcm of its
-    denominators, and the product of those multipliers."""
-    if m.is_integral:
-        return [list(row) for row in m.entries], 1
-    rows, scale = [], 1
-    for row in m.entries:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    return rows, scale
-
-
 def det(m: Matrix):
-    """Exact determinant: Bareiss on the rows scaled to integers, divided
-    by the scales."""
+    """Exact determinant: Bareiss on the rows cleared to one denominator d, over d^n."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    a, scale = _integer_rows(m)
+    rows, d = _cleared(m.entries, m.is_integral)
+    a = [list(row) for row in rows]
     r, sign = _bareiss(a)
-    d = sign * a[-1][-1] if r == m.nrows else 0
-    return d if scale == 1 else _exact(Fraction(d, scale))
+    value = sign * a[-1][-1] if r == m.nrows else 0
+    return value if d == 1 else _exact(Fraction(value, d ** m.nrows))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -333,13 +326,13 @@ def inverse(m: Matrix) -> Matrix:
 def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form over Q; returns (matrix, pivot columns).
 
-    Fraction-free Gauss-Jordan: each row is scaled to integers, rows stay
+    Fraction-free Gauss-Jordan: the rows are cleared to integers, stay
     integral and primitive (their gcd divided out) while they are
     eliminated against each other, and each pivot row is divided by its
     pivot once at the end.  Row scalings do not change the reduced form,
     which is unique, so this is the same matrix as elimination over Q.
     """
-    a, _ = _integer_rows(m)
+    a = list(_cleared(m.entries, m.is_integral)[0])
     nrows, ncols = m.nrows, m.ncols
     pivots = []
     r = 0
@@ -369,7 +362,7 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    return _bareiss(_integer_rows(m)[0])[0]
+    return _bareiss([list(row) for row in _cleared(m.entries, m.is_integral)[0]])[0]
 
 
 def _bareiss(a) -> tuple:
@@ -405,11 +398,11 @@ def kernel_basis(m: Matrix) -> list:
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
+        v = [0] * m.ncols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -reduced[i, f]
-        basis.append(tuple([_exact(x) for x in v]))
+        basis.append(tuple(v))
     return basis
 
 
@@ -421,10 +414,10 @@ def solve_rational(m: Matrix, b) -> tuple | None:
     reduced, pivots = rref(aug)
     if m.ncols in pivots:
         return None
-    x = [Fraction(0)] * m.ncols
+    x = [0] * m.ncols
     for i, p in enumerate(pivots):
         x[p] = reduced[i, m.ncols]
-    return tuple([_exact(v) for v in x])
+    return tuple(x)
 
 
 def smith_normal_form(m: Matrix) -> tuple:
@@ -436,41 +429,27 @@ def smith_normal_form(m: Matrix) -> tuple:
     if not m.is_integral:
         raise ValueError("Smith normal form needs an integer matrix")
     nrows, ncols = m.nrows, m.ncols
-    a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    # one working matrix [[m, I], [I, 0]], see the module docstring
+    a = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m.entries)]
+    a += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
 
     def row_sub(i, j, q):
         if q:
             a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_sub(j, k, q):
         if q:
             for row in a:
                 row[j] -= q * row[k]
-            for row in v:
-                row[j] -= q * row[k]
 
     def row_swap(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_add(i, j):
-        a[i] = [x + y for x, y in zip(a[i], a[j])]
-        u[i] = [x + y for x, y in zip(u[i], u[j])]
 
     for t in range(min(nrows, ncols)):
         # smallest nonzero pivot in the remaining block
@@ -484,7 +463,7 @@ def smith_normal_form(m: Matrix) -> tuple:
         row_swap(t, best[0])
         col_swap(t, best[1])
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = [-x for x in a[t]]
         while True:
             # Euclidean clearing of column t, then row t; a nonzero
             # remainder becomes the new, strictly smaller pivot.
@@ -507,12 +486,15 @@ def smith_normal_form(m: Matrix) -> tuple:
             # the offending row in and reduce again
             p = a[t][t]
             bad = next((i for i in range(t + 1, nrows)
-                        if any(x % p for x in a[i][t + 1:])), None)
+                        if any(x % p for x in a[i][t + 1:ncols])), None)
             if bad is None:
                 break
-            row_add(t, bad)
+            row_sub(t, bad, -1)
 
-    return Matrix(u), Matrix(a), Matrix(v)
+    top, bottom = a[:nrows], a[nrows:]
+    return (Matrix._trusted(tuple([tuple(row[ncols:]) for row in top]), True),
+            Matrix._trusted(tuple([tuple(row[:ncols]) for row in top]), True),
+            Matrix._trusted(tuple([tuple(row[:ncols]) for row in bottom]), True))
 
 
 def solve_integer(m: Matrix, b) -> tuple | None:
@@ -564,11 +546,3 @@ class BilinearForm:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionError("vector length does not match the lattice rank")
         return dot(u, self.gram.apply(v))
-
-
-def gcd_all(values) -> int:
-    """gcd of arbitrarily many integers; 0 for an empty or all-zero family."""
-    g = 0
-    for x in values:
-        g = gcd(g, abs(x))
-    return g

@@ -189,8 +189,7 @@ def mukai_pairing(surface: NumericalSurface, v, w):
     <v(E), v(F)> = -chi(E, F)."""
     if len(v.c) != surface.dim or len(w.c) != surface.dim:
         raise DimensionError(f"class does not live on {surface.name}")
-    value = surface.num.pair(v.c, w.c) - v.r * w.s - w.r * v.s
-    return int(value) if value.denominator == 1 else value
+    return as_rational(surface.num.pair(v.c, w.c) - v.r * w.s - w.r * v.s)
 
 
 def moduli_dim_expectation(surface: NumericalSurface, e) -> int:

@@ -40,7 +40,7 @@ from math import gcd, lcm
 
 from .averaging import CyclicRep
 from .covers import CoverTransfer, degree_identity
-from .lattice import DimensionError, Matrix, kernel_basis
+from .lattice import DimensionError, Matrix, as_rational, kernel_basis
 from .surfaces import InvariantError, NumericalSurface
 
 
@@ -107,12 +107,16 @@ def tensor_twist(surface: NumericalSurface, divisor) -> LatticeIsometry:
     tensoring with a line bundle: (r, c, s) -> (r, c + r l, s + c.l + r l^2/2).
 
     Integral only when l^2 is even, which holds on every even lattice.
+    The coordinates of l are exact like ExtendedVector's: floats and
+    bools raise TypeError, a non-integer raises InvariantError.
     """
-    ell = tuple([int(x) for x in divisor])
+    ell = tuple([as_rational(x) for x in divisor])
+    if not all(isinstance(x, int) for x in ell):
+        raise InvariantError(f"divisor {ell} must be integral")
     if len(ell) != surface.dim:
         raise DimensionError(f"divisor does not live on {surface.name}")
     g_ell = surface.num.gram.apply(ell)
-    half_sq = Fraction(sum(a * b for a, b in zip(ell, g_ell)), 2)
+    half_sq = Fraction(surface.num.pair(ell, ell), 2)
     d = surface.dim
     rows = [[0] * (d + 2) for _ in range(d + 2)]
     rows[0][0] = 1
@@ -164,13 +168,6 @@ def check_equivariant(phi: LatticeIsometry, a_y: GActionLattice,
     return [j * k % n for j in range(n)]
 
 
-def _over(m: Matrix, n: int) -> Matrix:
-    """m / n, divided exactly in ints when n divides every entry."""
-    if m.is_integral and all(x % n == 0 for row in m.entries for x in row):
-        return Matrix([[x // n for x in row] for row in m.entries])
-    return m.scale(Fraction(1, n))
-
-
 @dataclass(frozen=True)
 class DescentOutcome:
     """Result of descend_isometry: the isometry, or a named failure.
@@ -215,7 +212,7 @@ def descend_isometry(phi_t: LatticeIsometry, t_y: CoverTransfer,
         raise ValueError("isometry does not connect the two cover lattices")
     push_y, push_x = t_y.push_extended, t_x.push_extended
     pull_y, pull_x = t_y.pull_extended, t_x.pull_extended
-    candidate = _over(push_x @ phi_t.mat @ pull_y, t_y.degree)
+    candidate = (push_x @ phi_t.mat @ pull_y).scale(Fraction(1, t_y.degree))
     if not candidate.is_integral:
         witness = _descent_witness(t_y, t_x, phi_t, candidate)
         return DescentOutcome(None, "no integral solution", witness)
@@ -265,7 +262,7 @@ def lift_isometry(phi: LatticeIsometry, t_y: CoverTransfer, t_x: CoverTransfer):
     pull_y, pull_x = t_y.pull_extended, t_x.pull_extended
     push_y, push_x = t_y.push_extended, t_x.push_extended
     pulled = pull_x @ phi.mat
-    candidate = _over(pulled @ push_y, t_y.degree)
+    candidate = (pulled @ push_y).scale(Fraction(1, t_y.degree))
     if candidate @ pull_y != pulled or push_x @ candidate != phi.mat @ push_y:
         raise InvariantError("the closed-form lift fails a commuting square")
 

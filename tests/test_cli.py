@@ -224,6 +224,22 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert out.startswith("error: bad class ''")
 
+    def test_result_beyond_the_int_string_limit_is_an_input_error(self, capsys):
+        # CPython will not print an int of more than sys.get_int_max_str_digits()
+        # digits (4,300 by default); chi of two 3,000-digit ranks has 6,001
+        nines = "9" * 3000
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = run("chi", "--surface", "k3_toy", "--e", f"{nines},0;0",
+                            "--f", f"{nines},0;0")
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert "Traceback" not in out
+        assert capsys.readouterr() == ("", "")
+
     def test_missing_defs_file(self):
         code, out = run("chi", "--surface", "k3_toy", "--e", "1,0;0", "--f", "1,0;0",
                         "--defs", "/nonexistent/file.defs")

@@ -94,6 +94,24 @@ class TestFreenessGcd:
         zero = ExtendedVector(0, (0, 0), 0)
         cert = freeness_gcd(t, zero)
         assert cert.gcd == 0 and not cert.free
+        # empty and all-zero families have gcd 0; signs are ignored
+        for values, g in [([], 0), ([0, 0], 0), ([4, -6], 2), ([0, 0, 0, 2], 2),
+                          ([3, 5], 1), ([-1], 1)]:
+            cert = GcdCertificate.from_values([(f"v{i}", v) for i, v in enumerate(values)])
+            assert (cert.gcd, cert.free) == (g, g == 1)
+
+    def test_values_are_exact_integers_not_truncated(self):
+        # int() used to turn 3/2 and 1.0 into 1 and certify freeness
+        with pytest.raises(InvariantError):
+            GcdCertificate.from_values([("a", Fraction(3, 2)), ("b", 2)])
+        with pytest.raises(InvariantError):
+            GcdCertificate.from_values([("a", "1/2")])
+        for inexact in (1.0, True):
+            with pytest.raises(TypeError):
+                GcdCertificate.from_values([("a", 2), ("b", inexact)])
+        cert = GcdCertificate.from_values([("a", Fraction(4, 2)), ("b", "-6")])
+        assert cert.values == (("a", 2), ("b", -6)) and cert.gcd == 2
+        assert all(type(v) is int for _, v in cert.values)
 
 
 def _random_char(rng, surface):

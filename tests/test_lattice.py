@@ -9,7 +9,6 @@ from fmlattice.lattice import (
     DimensionError,
     Matrix,
     det,
-    gcd_all,
     inverse,
     kernel_basis,
     rank,
@@ -267,11 +266,3 @@ class TestBilinearForm:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             BilinearForm.from_rows([[1, 1], [1, 1]])
-
-
-def test_gcd_all():
-    assert gcd_all([]) == 0
-    assert gcd_all([0, 0]) == 0
-    assert gcd_all([4, -6]) == 2
-    assert gcd_all([0, 0, 0, 2]) == 2
-    assert gcd_all([3, 5]) == 1

@@ -2,8 +2,8 @@
 identity, of the pairings on the extended lattice, of lifting isometries
 and of the cyclic-action functions against loops over the stated order.
 
-Every product and matrix-vector product is compared with a plain triple
-loop over Fraction, and every result of rref, kernel_basis,
+Every product, matrix-vector product and scalar multiple is compared with
+a plain loop over Fraction, and every result of rref, kernel_basis,
 solve_rational, det and inverse with a plain Gauss-Jordan elimination
 over Fraction, both written out below and sharing no code with the
 library.
@@ -241,6 +241,28 @@ def test_apply_matches_reference_loop(operands):
         image = a.apply(column)
         assert list(image) == [row[j] for row in expected]
         assert normalised(image)
+
+
+# Scalars as scale accepts them: ints, Fractions, 'p/q' strings, and zero
+# in each of those forms.
+SCALARS = st.one_of(
+    st.sampled_from([0, Fraction(0), "0", "0/7"]),
+    PRODUCT_INTS,
+    PRODUCT_ENTRIES["fraction"],
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@SETTINGS
+@given(st.data(), SCALARS)
+def test_scale_matches_reference(data, k):
+    rows = data.draw(operand(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))))
+    scaled = Matrix(rows).scale(k)
+    assert [list(row) for row in scaled.entries] == \
+        [[Fraction(k) * Fraction(x) for x in row] for row in rows]
+    flat = [x for row in scaled.entries for x in row]
+    assert normalised(flat)
+    assert scaled.is_integral == all(type(x) is int for x in flat)
 
 
 def check_rref(rows):

@@ -10,7 +10,7 @@ from fmlattice.covers import CoverTransfer, validate_cover
 from fmlattice.defsio import load_definitions
 from fmlattice.lattice import BilinearForm, Matrix
 from fmlattice.descent import orbit_sum
-from fmlattice.surfaces import ExtendedVector, NumericalSurface
+from fmlattice.surfaces import ExtendedVector, InvariantError, NumericalSurface
 from fmlattice.transport import (
     GActionLattice,
     LatticeIsometry,
@@ -58,6 +58,20 @@ class TestIsometryTypes:
         tensor_twist(PRODUCT, (1, 0))
         tensor_twist(PRODUCT, (2, -3))
         tensor_twist(CATALOG.surfaces["enriques_toy"], (1,))
+
+    def test_tensor_twist_divisor_is_exact_not_truncated(self):
+        # int() used to twist by 0 for 1/2 and by 1 for 1.9
+        k3 = CATALOG.surfaces["k3_toy"]
+        for half in ((Fraction(1, 2),), ("1/2",)):
+            with pytest.raises(InvariantError):
+                tensor_twist(k3, half)
+        for inexact in ((1.9,), (1.0,), (True,)):
+            with pytest.raises(TypeError):
+                tensor_twist(k3, inexact)
+        one = tensor_twist(k3, (1,))
+        assert one.mat == Matrix([[1, 0, 0], [1, 1, 0], [2, 4, 1]])
+        assert tensor_twist(k3, ("1",)) == one
+        assert tensor_twist(k3, (Fraction(2, 2),)) == one
 
     def test_rejects_non_isometry(self):
         with pytest.raises(ValueError):
