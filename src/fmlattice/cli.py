@@ -395,7 +395,9 @@ def run_script(text: str) -> tuple:
     Returns (exit_code, output); the code is the maximum over the
     commands, and output concatenates each command's output after an
     echo of the command itself.  Replaying the same script is guaranteed
-    to produce byte-identical output.
+    to produce byte-identical output.  A line that does not split into
+    words, such as one with an unbalanced quote, is an input error of that
+    line alone.
     """
     code = OK
     chunks = []
@@ -404,7 +406,12 @@ def run_script(text: str) -> tuple:
         if not line or line.startswith("#"):
             continue
         chunks.append(f"$ {line}\n")
-        step_code, out = run_cli(shlex.split(line))
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            step_code, out = INPUT_ERROR, f"error: {exc}\n"
+        else:
+            step_code, out = run_cli(argv)
         chunks.append(out)
         code = max(code, step_code)
     return code, "".join(chunks)

@@ -6,11 +6,11 @@ Matrices are immutable values and every operation returns a fresh one, so
 all of this is safe to use from concurrent code without locking.
 
 The intended scale is tiny by linear-algebra standards (lattice ranks up
-to ~24), which is why the classical algorithms are the right tool:
-fraction-free elimination for reduced row-echelon forms (and so for
-kernels, rational solutions and inverses) and for determinants and ranks
-(Bareiss), and pivot-and-reduce Smith normal form.  Matrices the kernel
-computes itself (sums of integer matrices, products, negations,
+to ~24), which is why the classical algorithms are the right tool: one
+fraction-free elimination (Bareiss), forward for ranks and determinants
+and Gauss-Jordan for reduced forms (and so kernels, rational solutions
+and inverses), and pivot-and-reduce Smith normal form.  Matrices the
+kernel computes itself (sums of integer matrices, products, negations,
 transposes, reduced forms, inverses, normal forms) skip the per-entry check.
 
 There is one way into the integers and one way out: _cleared writes a
@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from operator import mul
+from math import lcm
+from operator import add, mul, sub
 
 
 class DimensionError(ValueError):
@@ -198,16 +198,20 @@ class Matrix:
         return tuple(out if d == 1 else _divided(out, d)[0])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("shape mismatch in addition")
-        return self._result(tuple([tuple([a + b for a, b in zip(r1, r2)])
-                                   for r1, r2 in zip(self._e, other._e)]), other)
+        return self._entrywise(other, add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, sub, "subtraction")
+
+    def _entrywise(self, other, op, name: str) -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("shape mismatch in subtraction")
-        return self._result(tuple([tuple([a - b for a, b in zip(r1, r2)])
-                                   for r1, r2 in zip(self._e, other._e)]), other)
+            raise DimensionError(f"shape mismatch in {name}")
+        rows = tuple([tuple(list(map(op, r1, r2))) for r1, r2 in zip(self._e, other._e)])
+        # Sums of ints are ints; with a Fraction operand an entry may come
+        # out as a Fraction with denominator 1, so normalise.
+        if self._integral and other._integral:
+            return Matrix._trusted(rows, True)
+        return Matrix(rows)
 
     def __neg__(self) -> "Matrix":
         return Matrix._trusted(tuple([tuple([-x for x in row]) for row in self._e]), self._integral)
@@ -217,13 +221,6 @@ class Matrix:
         rows, d = _cleared(self._e, self._integral)
         out = [_divided([k.numerator * x for x in row], d * k.denominator) for row in rows]
         return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
-
-    def _result(self, rows, other) -> "Matrix":
-        # Sums of ints are ints; with a Fraction operand an entry may come
-        # out as a Fraction with denominator 1, so normalise.
-        if self._integral and other._integral:
-            return Matrix._trusted(rows, True)
-        return Matrix(rows)
 
     def __rmul__(self, k) -> "Matrix":
         return self.scale(k)
@@ -298,13 +295,13 @@ def _divided(values, d: int) -> tuple:
 
 
 def det(m: Matrix):
-    """Exact determinant: Bareiss on the rows cleared to one denominator d, over d^n."""
+    """Exact determinant: the signed last forward pivot of the rows cleared to d, over d^n."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
     rows, d = _cleared(m.entries, m.is_integral)
-    a = [list(row) for row in rows]
-    r, sign = _bareiss(a)
-    value = sign * a[-1][-1] if r == m.nrows else 0
+    a = list(rows)
+    pivots, sign = _eliminate(a, False)
+    value = sign * a[-1][-1] if len(pivots) == m.nrows else 0
     return value if d == 1 else _exact(Fraction(value, d ** m.nrows))
 
 
@@ -326,34 +323,12 @@ def inverse(m: Matrix) -> Matrix:
 def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form over Q; returns (matrix, pivot columns).
 
-    Fraction-free Gauss-Jordan: the rows are cleared to integers, stay
-    integral and primitive (their gcd divided out) while they are
-    eliminated against each other, and each pivot row is divided by its
-    pivot once at the end.  Row scalings do not change the reduced form,
-    which is unique, so this is the same matrix as elimination over Q.
+    Gauss-Jordan on the rows cleared to integers leaves all pivots equal;
+    each pivot row is then divided by its pivot.  The reduced form is
+    unique, so this is the same matrix as elimination over Q.
     """
     a = list(_cleared(m.entries, m.is_integral)[0])
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        for i in range(nrows):
-            f = a[i][c]
-            if i != r and f:
-                g = gcd(prow[c], f)
-                p, f = prow[c] // g, f // g
-                row = [p * x - f * y for x, y in zip(a[i], prow)]
-                g = gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    pivots = _eliminate(a, True)[0]
     integral = True
     for i, c in enumerate(pivots):
         a[i], ok = _divided(a[i], a[i][c])
@@ -362,34 +337,41 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    return _bareiss([list(row) for row in _cleared(m.entries, m.is_integral)[0]])[0]
+    return len(_eliminate(list(_cleared(m.entries, m.is_integral)[0]), False)[0])
 
 
-def _bareiss(a) -> tuple:
-    """Fraction-free forward elimination of the integer rows a, in place:
-    (rank, sign of the row swaps).  Every entry stays integral; on a
-    square matrix of full rank the last pivot is the determinant up to
-    that sign."""
-    nrows, ncols = len(a), len(a[0])
-    r = 0
+def _eliminate(a, jordan: bool) -> tuple:
+    """Fraction-free elimination of the integer rows a, in place:
+    (pivot columns, sign of the row swaps).  Each row below the pivot p,
+    and with jordan each row above it, becomes (p row - f pivot row) /
+    prev, f its entry in the pivot column and prev the previous pivot;
+    Sylvester's identity makes the division exact (Bareiss, Math. Comp.
+    22, 1968).  Forward, the last pivot at full rank is the determinant
+    up to the sign; with jordan all pivots end equal (Nakos, Turner and
+    Williams, SIGSAM Bull. 31(3), 1997)."""
+    nrows = len(a)
+    pivots = []
     sign = 1
     prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+    for c in range(len(a[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nrows:
+        prow = a[r]
+        p = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            f = a[i][c]
+            if i != r and (f or p != prev):  # else the update changes nothing
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], prow)]
+        pivots.append(c)
+        prev = p
+        if r + 1 == nrows:
             break
-    return r, sign
+    return pivots, sign
 
 
 def kernel_basis(m: Matrix) -> list:

@@ -279,6 +279,12 @@ reproduce ex5.3 --records
         assert code == 0
         assert out.startswith("$ chi")
 
+    def test_unbalanced_quote_is_an_error_of_its_line(self):
+        code, out = run_script('chi "abc\nchi --surface abelian_ppav --e 1,0;0 --f 4,2;1\n')
+        assert code == 2
+        assert out == ('$ chi "abc\nerror: No closing quotation\n'
+                       "$ chi --surface abelian_ppav --e 1,0;0 --f 4,2;1\n1\n")
+
 
 class TestHelp:
     @pytest.mark.parametrize("argv", [["-h"], ["chi", "--help"], ["surface", "-h"],

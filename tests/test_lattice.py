@@ -57,6 +57,10 @@ class TestMatrixBasics:
             a.apply((1, 2, 3))
         with pytest.raises(DimensionError):
             Matrix([[1], [2, 3]])
+        with pytest.raises(DimensionError, match="shape mismatch in addition"):
+            a + a.T
+        with pytest.raises(DimensionError, match="shape mismatch in subtraction"):
+            a - a.T
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):

@@ -289,6 +289,12 @@ def test_rref_of_rational_matrices_matches_reference(rows):
 
 @SETTINGS
 @given(st.booleans().flatmap(lambda rational: matrices(rational=rational)))
+def test_rank_matches_reference(rows):
+    assert rank(Matrix(rows)) == len(reference_rref(rows)[1])
+
+
+@SETTINGS
+@given(st.booleans().flatmap(lambda rational: matrices(rational=rational)))
 def test_kernel_basis_matches_reference(rows):
     basis = kernel_basis(Matrix(rows))
     assert basis == reference_kernel(rows)
