@@ -9,7 +9,7 @@ The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool: one
 fraction-free elimination (Bareiss), forward for ranks and determinants
 and Gauss-Jordan for reduced forms (and so kernels, rational solutions
-and inverses), and pivot-and-reduce Smith normal form.  Matrices the
+and inverses), and Smith normal form from Hermite passes.  Matrices the
 kernel computes itself (sums of integer matrices, products, negations,
 transposes, reduced forms, inverses, normal forms) skip the per-entry check.
 
@@ -18,7 +18,8 @@ matrix as integer rows over one common denominator d (det divides by d^n
 at the end), and _divided divides ints exactly, to ints where it can and
 Fractions elsewhere, flagging whether all were ints.  Smith normal form
 works on one matrix [[m, I], [I, 0]]: row operations on its first nrows
-rows move m and U together, column operations on its first ncols m and V.
+rows move m and U together, column operations on its first ncols m and V;
+a column pass is a row pass on the transpose.
 
 Products take one path for every operand, int or Fraction, at every
 size.  Each operand is cleared; each row of the right operand is packed
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import lcm
 from operator import add, mul, sub
 
@@ -349,11 +350,11 @@ def _eliminate(a, jordan: bool) -> tuple:
     22, 1968).  Forward, the last pivot at full rank is the determinant
     up to the sign; with jordan all pivots end equal (Nakos, Turner and
     Williams, SIGSAM Bull. 31(3), 1997)."""
-    nrows = len(a)
+    nrows, ncols = len(a), len(a[0])
     pivots = []
     sign = 1
     prev = 1
-    for c in range(len(a[0])):
+    for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
@@ -365,8 +366,15 @@ def _eliminate(a, jordan: bool) -> tuple:
         p = prow[c]
         for i in range(0 if jordan else r + 1, nrows):
             f = a[i][c]
-            if i != r and (f or p != prev):  # else the update changes nothing
+            if i == r or not (f or p != prev):  # the update would change nothing
+                continue
+            if jordan:
                 a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], prow)]
+            else:  # a row below is zero left of c, so only its tail changes
+                row = a[i] = list(a[i])
+                row[c] = 0
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] * p - f * prow[j]) // prev
         pivots.append(c)
         prev = p
         if r + 1 == nrows:
@@ -402,11 +410,44 @@ def solve_rational(m: Matrix, b) -> tuple | None:
     return tuple(x)
 
 
+def _hnf(a, nrows: int, ncols: int) -> None:
+    """Row Hermite normal form, in place, of the first nrows rows and ncols
+    columns of a, each row operation on whole rows.  Per column, Euclid:
+    the row with the smallest nonzero entry is the pivot row, and the rows
+    below are reduced modulo it until it is alone; then it is made
+    positive and the entries above it are reduced into [0, p)."""
+    r = 0
+    for c in range(ncols):
+        while live := [i for i in range(r, nrows) if a[i][c]]:
+            piv = min(live, key=lambda i: abs(a[i][c]))
+            a[r], a[piv] = a[piv], a[r]
+            alone = len(live) == 1
+            if alone and a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            prow, p = a[r], a[r][c]
+            for i in range(r) if alone else range(r + 1, nrows):
+                q = a[i][c] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], prow)]
+            if alone:
+                r += 1
+                break
+
+
 def smith_normal_form(m: Matrix) -> tuple:
     """Decompose an integer matrix as U @ m @ V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries and
     each diagonal entry divides the next.  Total on all integer matrices.
+
+    Row and column Hermite passes alternate until the m-block is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8(4), 1979); reducing every entry
+    off a pivot modulo it keeps U and V small.  The passes end: each one
+    makes the first pivot not yet split off the gcd of its column (row),
+    a divisor of the one before, equal only if it divides its whole row
+    (column), which the next pass then clears for good.  The last pass
+    leaves the diagonal positive, zeros last; a 2x2 gcd/lcm step on each
+    pair of diagonal entries then makes each divide the next.
     """
     if not m.is_integral:
         raise ValueError("Smith normal form needs an integer matrix")
@@ -414,65 +455,24 @@ def smith_normal_form(m: Matrix) -> tuple:
     # one working matrix [[m, I], [I, 0]], see the module docstring
     a = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m.entries)]
     a += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
-
-    def row_sub(i, j, q):
-        if q:
-            a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-    def col_sub(j, k, q):
-        if q:
-            for row in a:
-                row[j] -= q * row[k]
-
-    def row_swap(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-
-    def col_swap(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-
-    for t in range(min(nrows, ncols)):
-        # smallest nonzero pivot in the remaining block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    while True:
+        for shape in ((nrows, ncols), (ncols, nrows)):  # a row pass, then a column pass
+            _hnf(a, *shape)
+            a = [list(col) for col in zip(*a)]
+        if not any(a[i][j] for i in range(nrows) for j in range(ncols) if i != j):
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        while True:
-            # Euclidean clearing of column t, then row t; a nonzero
-            # remainder becomes the new, strictly smaller pivot.
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        row_swap(i, t)
-            if any(a[i][t] for i in range(t + 1, nrows)):
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        col_swap(j, t)
-            if any(a[t][j] for j in range(t + 1, ncols)) or \
-                    any(a[i][t] for i in range(t + 1, nrows)):
-                continue
-            # the pivot must divide the whole remaining block, else fold
-            # the offending row in and reduce again
-            p = a[t][t]
-            bad = next((i for i in range(t + 1, nrows)
-                        if any(x % p for x in a[i][t + 1:ncols])), None)
-            if bad is None:
-                break
-            row_sub(t, bad, -1)
-
+    for i, j in combinations(range(min(nrows, ncols)), 2):
+        x, y = a[i][i], a[j][j]
+        if x and y % x:  # rows [[s, t], [-y/g, x/g]], columns [[1, -t y/g], [1, s x/g]]
+            s, s1, g, g1 = 1, 0, x, y
+            while g1:
+                q = g // g1
+                s, s1, g, g1 = s1, s - q * s1, g1, g - q * g1
+            t, xg, yg = (g - s * x) // y, x // g, y // g
+            a[i], a[j] = ([s * u + t * w for u, w in zip(a[i], a[j])],
+                          [xg * w - yg * u for u, w in zip(a[i], a[j])])
+            for row in a:  # diag(x, y) is now diag(g, x y / g)
+                row[i], row[j] = row[i] + row[j], s * xg * row[j] - t * yg * row[i]
     top, bottom = a[:nrows], a[nrows:]
     return (Matrix._trusted(tuple([tuple(row[ncols:]) for row in top]), True),
             Matrix._trusted(tuple([tuple(row[:ncols]) for row in top]), True),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,20 @@ class TestSmithNormalForm:
     def test_rejects_rational(self):
         with pytest.raises(ValueError):
             smith_normal_form(Matrix([[Fraction(1, 2)]]))
+
+    def test_dense_inputs_keep_small_transforms(self):
+        # Dense inputs, square, tall and wide, are where U and V can grow:
+        # without reduction modulo the pivots their entries reach thousands
+        # of bits at 10x10, and the time grows with them.
+        rng = random.Random(12)
+        shapes = ((12, 12), (20, 20), (20, 12), (12, 20))
+        inputs = [random_int_matrix(rng, nrows, ncols) for nrows, ncols in shapes]
+        start = time.perf_counter()
+        results = [smith_normal_form(m) for m in inputs]
+        assert time.perf_counter() - start < 1.0
+        for m, (u, d, v) in zip(inputs, results):
+            self.assert_valid_snf(m, u, d, v)
+            assert max(abs(x).bit_length() for t in (u, v) for row in t.entries for x in row) < 256
 
 
 class TestSolveInteger:

@@ -1,12 +1,14 @@
-"""Property tests of the exact products and elimination, of the averaging
-identity, of the pairings on the extended lattice, of lifting isometries
-and of the cyclic-action functions against loops over the stated order.
+"""Property tests of the exact products, elimination and Smith normal
+form, of the averaging identity, of the pairings on the extended lattice,
+of lifting isometries and of the cyclic-action functions against loops
+over the stated order.
 
 Every product, matrix-vector product and scalar multiple is compared with
 a plain loop over Fraction, and every result of rref, kernel_basis,
 solve_rational, det and inverse with a plain Gauss-Jordan elimination
 over Fraction, both written out below and sharing no code with the
-library.
+library; Smith normal forms and integer solutions are checked with the
+same two.
 """
 
 import random
@@ -19,7 +21,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from fmlattice.averaging import (
     CyclicRep,
@@ -48,6 +50,8 @@ from fmlattice.lattice import (
     kernel_basis,
     rank,
     rref,
+    smith_normal_form,
+    solve_integer,
     solve_rational,
 )
 from fmlattice.surfaces import (
@@ -337,6 +341,55 @@ def test_det_and_inverse_match_reference(rows):
         flat = [x for row in inv.entries for x in row]
         assert normalised(flat)
         assert inv.is_integral == all(isinstance(x, int) for x in flat)
+
+
+
+def check_snf(rows):
+    """U M V = D against the Fraction references: U and V unimodular, D
+    diagonal and nonnegative, each entry dividing the next, and on a
+    square M the product of the diagonal equal to |det M|."""
+    u, d, v = smith_normal_form(Matrix(rows))
+    assert [list(row) for row in d.entries] == \
+        reference_product(reference_product(u.entries, rows), v.entries)
+    assert reference_det(u.entries) in (1, -1) and reference_det(v.entries) in (1, -1)
+    nrows, ncols = len(rows), len(rows[0])
+    assert all(d[i, j] == 0 for i in range(nrows) for j in range(ncols) if i != j)
+    diag = [d[i, i] for i in range(min(nrows, ncols))]
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    if nrows == ncols:
+        product = 1
+        for x in diag:
+            product *= x
+        assert product == abs(reference_det(rows))
+
+
+SNF_INPUTS = st.one_of(
+    matrices(max_rows=8, max_cols=8),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda shape: [[0] * shape[1]] * shape[0]),
+)
+
+
+@SETTINGS
+@given(SNF_INPUTS)
+@example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])  # square, D = diag(2, 6, 12)
+@example([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12], [13, 14], [15, 16]])  # tall
+@example([[0, 6, 0, 9, 0, 0, 3, 12], [0, 4, 0, 6, 0, 0, 2, 8]])  # wide, rank 1
+@example([[0, 0], [0, 3]])  # diagonal with its zero first
+@example([[0] * 8] * 8)
+def test_smith_normal_form_matches_references(rows):
+    check_snf(rows)
+
+
+@SETTINGS
+@given(matrices(max_rows=8, max_cols=8), st.data())
+def test_solve_integer_solves_a_consistent_system(rows, data):
+    m = Matrix(rows)
+    x0 = data.draw(st.lists(st.integers(-9, 9), min_size=m.ncols, max_size=m.ncols))
+    b = m.apply(x0)
+    x = solve_integer(m, b)
+    assert x is not None and all(type(xi) is int for xi in x)
+    assert [row[0] for row in reference_product(rows, [[xi] for xi in x])] == list(b)
 
 
 reps = st.integers(0, 2**32).map(lambda seed: random_rep(random.Random(seed), max_order=12,
