@@ -35,6 +35,7 @@ from .lattice import (
     DimensionError,
     Matrix,
     _exact,
+    _summed,
     block_diagonal,
     rank,
     rref,
@@ -79,7 +80,8 @@ def norm_operator(rep: CyclicRep) -> Matrix:
     """Sum of all powers of the generator: order / t times the sum of the
     t powers up to the true order t."""
     pows = rep.powers()
-    total = sum(pows[1:], pows[0])
+    total = _summed([list(map(sum, zip(*rows))) for rows in zip(*[p.entries for p in pows])],
+                    all([p.is_integral for p in pows]))
     return total if len(pows) == rep.order else total.scale(rep.order // len(pows))
 
 
@@ -104,8 +106,7 @@ def verify_ker_im(rep: CyclicRep) -> KerImReport:
     """
     n_op = norm_operator(rep)
     b_op = difference_operator(rep)
-    zero = Matrix.zero(rep.dim, rep.dim)
-    if n_op @ b_op != zero or b_op @ n_op != zero:
+    if any(map(any, (n_op @ b_op).entries + (b_op @ n_op).entries)):
         raise InvariantError("norm and difference operators fail to annihilate each other")
     dim_ker = rep.dim - rank(n_op)
     rank_b = rank(b_op)
@@ -135,15 +136,17 @@ def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
     # among the gS columns is an image g v outside span(S), and once the
     # span is stable, a pivot in the last column is B s outside it.
     span = Matrix.from_columns(vecs)
+    gspan = rep.gen @ span
     m = len(vecs)
-    stacked = Matrix([a + b + (c,) for a, b, c in zip(span.entries, (rep.gen @ span).entries, bs)])
+    stacked = Matrix._trusted(tuple([a + b + (c,) for a, b, c in zip(span.entries, gspan.entries, bs)]),
+                              span.is_integral and gspan.is_integral and all([type(c) is int for c in bs]))
     pivots = rref(stacked)[1]
     if any(m <= p < 2 * m for p in pivots):
         raise ValueError("subspace is not stable under the group generator")
     if 2 * m in pivots:
         raise ValueError("B s does not lie in the subspace")
     # Bs is in the subspace and killed by the norm, hence in B(subspace)
-    coeffs = solve_rational(b_op @ span, bs)
+    coeffs = solve_rational(span - gspan, bs)  # B S = S - g S
     if coeffs is None:
         raise InvariantError("no subspace element maps to B s under B")
     k = span.apply(coeffs)

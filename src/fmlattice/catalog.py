@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .covers import pushforward_ch
 from .defsio import load_definitions
@@ -23,8 +24,8 @@ from .surfaces import euler_pairing, moduli_dim_expectation
 class Catalog:
     """Validated catalog entries indexed by kind.
 
-    Each per-kind dict (id -> payload) is built on first access and then
-    shared; treat it as read-only.
+    Per-kind dicts (id -> payload; treat them as read-only) and registry()
+    (id -> entry, a read-only view) are built on first access and shared.
     """
 
     entries: tuple
@@ -45,8 +46,12 @@ class Catalog:
     def actions(self) -> dict:
         return {e.id: e.payload for e in self.entries if e.kind == "action"}
 
-    def registry(self) -> dict:
-        return {e.id: e for e in self.entries}
+    def registry(self) -> MappingProxyType:
+        return self._registry
+
+    @cached_property
+    def _registry(self) -> MappingProxyType:
+        return MappingProxyType({e.id: e for e in self.entries})
 
     def extend(self, more_entries) -> "Catalog":
         return Catalog(self.entries + tuple(more_entries))

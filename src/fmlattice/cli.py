@@ -385,6 +385,9 @@ def run_cli(argv) -> tuple:
     except _UsageError as exc:
         return INPUT_ERROR, parser.format_usage() + f"error: {exc}\n"
     except (DefsError, ValueError, TypeError) as exc:
+        if "integer string conversion" in str(exc):  # CPython's limit on printing an int
+            exc = (f"a number in the result has more than {sys.get_int_max_str_digits()} digits;"
+                   " set PYTHONINTMAXSTRDIGITS=0 to lift the limit")
         return INPUT_ERROR, f"error: {exc}\n"
     return (NEGATIVE if ns.strict and not holds else OK), text
 

@@ -2,24 +2,28 @@
 
 Everything in this package runs on arbitrary-precision exact arithmetic:
 matrix entries are Python ints or ``fractions.Fraction``, never floats.
-Matrices are immutable values and every operation returns a fresh one, so
-all of this is safe to use from concurrent code without locking.
+Matrices are immutable values (their one cache, _ints, can only be filled
+with one value), so all of this is safe in concurrent code without locks.
 
 The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool: one
 fraction-free elimination (Bareiss), forward for ranks and determinants
 and Gauss-Jordan for reduced forms (and so kernels, rational solutions
-and inverses), and Smith normal form from Hermite passes.  Matrices the
-kernel computes itself (sums of integer matrices, products, negations,
-transposes, reduced forms, inverses, normal forms) skip the per-entry check.
+and inverses), and Smith normal form from Hermite passes.  Only Matrix()
+and from_columns check each entry; identity, zero, diagonal (its values
+pass vector()) and every matrix the kernel computes itself (sums, products,
+negations, transposes, reduced forms, inverses, normal forms) are trusted.
 
 There is one way into the integers and one way out: _cleared writes a
 matrix as integer rows over one common denominator d (det divides by d^n
 at the end), and _divided divides ints exactly, to ints where it can and
-Fractions elsewhere, flagging whether all were ints.  Smith normal form
-works on one matrix [[m, I], [I, 0]]: row operations on its first nrows
-rows move m and U together, column operations on its first ncols m and V;
-a column pass is a row pass on the transpose.
+Fractions elsewhere, flagging whether all were ints.  Each matrix is
+cleared once: _ints caches its integer rows (tuples, so no elimination
+changes them in place), d and max |entry| for products, apply, scale, rref,
+rank and det.  Smith normal form works on one matrix [[m, I], [I, 0]]: row
+operations on its first nrows rows move m and U together, column
+operations on its first ncols m and V; a column pass is a row pass on the
+transpose.
 
 Products take one path for every operand, int or Fraction, at every
 size.  Each operand is cleared; each row of the right operand is packed
@@ -82,7 +86,7 @@ def dot(u, v):
 class Matrix:
     """An immutable matrix with exact (int / Fraction) entries."""
 
-    __slots__ = ("nrows", "ncols", "_e", "_integral")
+    __slots__ = ("nrows", "ncols", "_e", "_integral", "_int")
 
     def __init__(self, rows):
         data = tuple([tuple([_exact(x) for x in row]) for row in rows])
@@ -95,32 +99,43 @@ class Matrix:
         self.ncols = width
         self._e = data
         self._integral = all(isinstance(x, int) for row in data for x in row)
+        self._int = None
 
     @classmethod
     def _trusted(cls, rows, integral: bool) -> "Matrix":
-        """A matrix from rows the kernel has just computed: a nonempty
-        tuple of equal-length nonempty tuples of normalised entries, all of
-        them ints exactly when integral is true.  No entry is checked."""
+        """A matrix from rows the kernel has just computed: a tuple of
+        equal-length tuples of normalised entries, all of them ints exactly
+        when integral is true.  Only an empty shape is refused."""
+        if not (rows and rows[0]):
+            raise DimensionError("empty matrix")
         m = object.__new__(cls)
         m.nrows = len(rows)
         m.ncols = len(rows[0])
         m._e = rows
         m._integral = integral
+        m._int = None
         return m
+
+    def _ints(self) -> tuple:
+        """(rows, d, max |entry|) of _cleared, filled once; racing threads store equal values."""
+        if self._int is None:
+            rows, d = _cleared(self._e, self._integral)
+            self._int = rows, d, _max_abs(rows)
+        return self._int
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls._trusted(((0,) * ncols,) * nrows, True)
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
-        vals = list(values)
-        n = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        vals = vector(values)
+        rows = tuple([(0,) * i + (x,) + (0,) * (len(vals) - i - 1) for i, x in enumerate(vals)])
+        return cls._trusted(rows, all([type(x) is int for x in vals]))
 
     @classmethod
     def from_columns(cls, cols) -> "Matrix":
@@ -155,15 +170,15 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        a, da = _cleared(self._e, self._integral)
-        b, db = _cleared(other._e, other._integral)
+        a, da, ma = self._ints()
+        b, db, mb = other._ints()
         # Kronecker substitution (Harvey, J. Symbolic Comput. 44(10), 2009):
         # row k of b is packed as P_k = sum_j b[k][j] 2^(j w).  An entry of
         # a b lies in [-bias, bias], bias = k max|a| max|b|, so each slot of
         # bias_row + sum_k a[i][k] P_k holds entry + bias in [0, 2 bias],
         # below 2^(w - 1) for w = bit_length(2 bias) + 1: no slot carries
         # into the next, and mask and shift read the entries back.
-        bias = self.ncols * _max_abs(a) * _max_abs(b)
+        bias = self.ncols * ma * mb
         w = (2 * bias).bit_length() + 1
         mask = (1 << w) - 1
         shifts = range(0, other.ncols * w, w)
@@ -191,7 +206,7 @@ class Matrix:
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise DimensionError(f"vector of length {len(v)} against {self.nrows}x{self.ncols}")
-        rows, d = _cleared(self._e, self._integral)
+        rows, d, _ = self._ints()
         if not all(type(x) is int for x in v):
             (v,), dv = _cleared((vector(v),), False)
             d *= dv
@@ -207,19 +222,15 @@ class Matrix:
     def _entrywise(self, other, op, name: str) -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError(f"shape mismatch in {name}")
-        rows = tuple([tuple(list(map(op, r1, r2))) for r1, r2 in zip(self._e, other._e)])
-        # Sums of ints are ints; with a Fraction operand an entry may come
-        # out as a Fraction with denominator 1, so normalise.
-        if self._integral and other._integral:
-            return Matrix._trusted(rows, True)
-        return Matrix(rows)
+        return _summed([list(map(op, r1, r2)) for r1, r2 in zip(self._e, other._e)],
+                       self._integral and other._integral)
 
     def __neg__(self) -> "Matrix":
         return Matrix._trusted(tuple([tuple([-x for x in row]) for row in self._e]), self._integral)
 
     def scale(self, k) -> "Matrix":
         k = Fraction(as_rational(k))
-        rows, d = _cleared(self._e, self._integral)
+        rows, d, _ = self._ints()
         out = [_divided([k.numerator * x for x in row], d * k.denominator) for row in rows]
         return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
 
@@ -231,14 +242,13 @@ class Matrix:
             raise DimensionError("power of a non-square matrix")
         if n < 0:
             return inverse(self).power(-n)
-        result = Matrix.identity(self.nrows)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result @ base
-            base = base @ base if n > 1 else base
+                result = base if result is None else result @ base
             n >>= 1
-        return result
+            base = base @ base if n else base
+        return Matrix.identity(self.nrows) if result is None else result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -255,26 +265,30 @@ class Matrix:
 
 def block_diagonal(blocks) -> Matrix:
     blocks = list(blocks)
-    n = sum(b.nrows for b in blocks)
     m = sum(b.ncols for b in blocks)
-    rows = [[0] * m for _ in range(n)]
-    i0 = j0 = 0
+    rows, j0 = [], 0
     for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[i0 + i][j0 + j] = b[i, j]
-        i0 += b.nrows
+        rows += [(0,) * j0 + row + (0,) * (m - j0 - b.ncols) for row in b.entries]
         j0 += b.ncols
-    return Matrix(rows)
+    return Matrix._trusted(tuple(rows), all([b.is_integral for b in blocks]))
+
+
+def _summed(rows, integral: bool) -> Matrix:
+    """A trusted matrix of entrywise sums or differences; unless all terms
+    were ints (integral), Fraction results of denominator 1 become ints."""
+    if not integral:
+        rows = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+        integral = all([type(x) is int for row in rows for x in row])
+    return Matrix._trusted(tuple([tuple(row) for row in rows]), integral)
 
 
 def _cleared(rows, integral: bool) -> tuple:
-    """Integer rows and one common denominator d, rows / d being the
-    given rows; integral rows come back as they are, with d = 1."""
+    """Integer rows (tuples) and one common denominator d, rows / d being
+    the given rows; integral rows come back as they are, with d = 1."""
     if integral:
         return rows, 1
     d = lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows]), d
 
 
 def _max_abs(rows) -> int:
@@ -299,7 +313,7 @@ def det(m: Matrix):
     """Exact determinant: the signed last forward pivot of the rows cleared to d, over d^n."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    rows, d = _cleared(m.entries, m.is_integral)
+    rows, d, _ = m._ints()
     a = list(rows)
     pivots, sign = _eliminate(a, False)
     value = sign * a[-1][-1] if len(pivots) == m.nrows else 0
@@ -328,7 +342,7 @@ def rref(m: Matrix) -> tuple:
     each pivot row is then divided by its pivot.  The reduced form is
     unique, so this is the same matrix as elimination over Q.
     """
-    a = list(_cleared(m.entries, m.is_integral)[0])
+    a = list(m._ints()[0])
     pivots = _eliminate(a, True)[0]
     integral = True
     for i, c in enumerate(pivots):
@@ -338,7 +352,7 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(list(_cleared(m.entries, m.is_integral)[0]), False)[0])
+    return len(_eliminate(list(m._ints()[0]), False)[0])
 
 
 def _eliminate(a, jordan: bool) -> tuple:
@@ -400,7 +414,9 @@ def solve_rational(m: Matrix, b) -> tuple | None:
     """One exact solution of m x = b over Q, or None when inconsistent."""
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length mismatch")
-    aug = Matrix([list(row) + [bi] for row, bi in zip(m.entries, b)])
+    b = vector(b)
+    aug = Matrix._trusted(tuple([row + (bi,) for row, bi in zip(m.entries, b)]),
+                          m.is_integral and all([type(x) is int for x in b]))
     reduced, pivots = rref(aug)
     if m.ncols in pivots:
         return None

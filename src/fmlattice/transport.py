@@ -150,20 +150,25 @@ def check_equivariant(phi: LatticeIsometry, a_y: GActionLattice,
             f"group orders differ: {a_y.order} vs {a_x.order}")
     if phi.source != a_y.surface or phi.target != a_x.surface:
         raise ValueError("isometry does not connect the two action lattices")
-    n = a_y.order
+    n, m = a_y.order, phi.mat
     pows_y = a_y.powers()
-    t_y = len(pows_y)
-    lhs = a_x.gen @ phi.mat
-    # a unit residue mod t_y lifts to a unit mod n, as t_y divides n
-    works = {r for r in range(t_y) if gcd(r, t_y) == 1 and lhs == phi.mat @ pows_y[r]}
+    pows_x = pows_y if a_x is a_y else a_x.powers()
+    t_x, t_y = len(pows_x), len(pows_y)
+    lhs = a_x.gen @ m
+    # phi g_y^r, each formed once; a unit residue mod t_y lifts to a unit mod n
+    right = {r: m @ pows_y[r] for r in range(t_y) if gcd(r, t_y) == 1}
+    works = {r for r, p in right.items() if lhs == p}
     if not works:
         return None
     k = next(k for k in range(1, n + 1) if k % t_y in works and gcd(k, n) == 1)
-    pows_x = a_x.powers()
-    t_x = len(pows_x)
-    # the generator equation iterates to all of G; verify anyway
-    for j in range(lcm(t_x, t_y)):
-        if pows_x[j % t_x] @ phi.mat != phi.mat @ pows_y[j * k % t_y]:
+    left = [m, lhs] + [p @ m for p in pows_x[2:]]  # g_x^j phi
+    # The generator equation iterates to all of G; verify anyway, every
+    # j but 0, whose equation I phi = phi I holds in exact arithmetic.
+    for j in range(1, lcm(t_x, t_y)):
+        r = j * k % t_y
+        if r not in right:
+            right[r] = m @ pows_y[r]
+        if left[j % t_x] != right[r]:
             return None
     return [j * k % n for j in range(n)]
 
@@ -185,10 +190,7 @@ class DescentOutcome:
         return self.isometry is not None
 
 
-def _descent_witness(t_y: CoverTransfer, t_x: CoverTransfer,
-                     phi_t: LatticeIsometry, candidate: Matrix):
-    push_y = t_y.push_extended
-    forced = t_x.push_extended @ phi_t.mat
+def _descent_witness(push_y: Matrix, forced: Matrix, candidate: Matrix):
     bad_col = next(j for j in range(candidate.ncols)
                    if not all(isinstance(x, int) for x in candidate.column(j)))
     for i in range(push_y.ncols):
@@ -212,11 +214,12 @@ def descend_isometry(phi_t: LatticeIsometry, t_y: CoverTransfer,
         raise ValueError("isometry does not connect the two cover lattices")
     push_y, push_x = t_y.push_extended, t_x.push_extended
     pull_y, pull_x = t_y.pull_extended, t_x.pull_extended
-    candidate = (push_x @ phi_t.mat @ pull_y).scale(Fraction(1, t_y.degree))
+    forced = push_x @ phi_t.mat
+    candidate = (forced @ pull_y).scale(Fraction(1, t_y.degree))
     if not candidate.is_integral:
-        witness = _descent_witness(t_y, t_x, phi_t, candidate)
+        witness = _descent_witness(push_y, forced, candidate)
         return DescentOutcome(None, "no integral solution", witness)
-    if candidate @ push_y != push_x @ phi_t.mat:
+    if candidate @ push_y != forced:
         return DescentOutcome(None, "pushforward square has no solution")
     if pull_x @ candidate != phi_t.mat @ pull_y:
         return DescentOutcome(None, "pullback square fails")

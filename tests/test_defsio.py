@@ -44,6 +44,16 @@ class TestShippedCatalog:
         for t in cat.covers.values():
             assert t.cover.chi_o == t.degree * t.base.chi_o
 
+    def test_registry_is_built_once_and_read_only(self):
+        cat = builtin_catalog()
+        registry = cat.registry()
+        assert cat.registry() is registry
+        assert set(registry) == {e.id for e in cat.entries}
+        with pytest.raises(TypeError):
+            registry["abelian_ppav"] = None
+        extended = cat.extend(load_definitions(SURFACE, registry=registry))
+        assert "s" in extended.registry() and "s" not in registry
+
 
 class TestParsing:
     def test_empty_input(self):

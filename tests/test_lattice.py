@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -115,6 +117,60 @@ class TestMatrixBasics:
         assert s.power(0) == Matrix.identity(2)
         assert s.power(2) == Matrix.identity(2)
         assert s.power(5) == s
+
+    def test_trusted_constructors_reject_empty_shapes(self):
+        for build in (lambda: Matrix.identity(0), lambda: Matrix.zero(0, 3),
+                      lambda: Matrix.zero(3, 0), lambda: Matrix.diagonal([])):
+            with pytest.raises(DimensionError):
+                build()
+        with pytest.raises(TypeError):
+            Matrix.diagonal([0.5])
+
+    def test_trusted_constructors_normalise(self):
+        half = Matrix([[Fraction(1, 2)]])
+        for m in (Matrix.diagonal([Fraction(2, 2)]), half + half):
+            assert m == Matrix.identity(1) and m.is_integral and type(m[0, 0]) is int
+        assert Matrix.diagonal([Fraction(1, 2), 3]) == Matrix([[Fraction(1, 2), 0], [0, 3]])
+        assert not Matrix.diagonal([Fraction(1, 2), 3]).is_integral
+
+    def test_results_agree_before_and_after_the_integer_form_is_cached(self):
+        rows = [[Fraction(1, 2), 3, Fraction(-5, 6)], [2, Fraction(7, 4), 0], [Fraction(1, 3), 1, 1]]
+        b = Matrix([[Fraction(2, 3), 1], [0, Fraction(-1, 2)], [5, 7]])
+        m = Matrix(rows)
+        before = (m @ b, rref(Matrix(rows)), rank(Matrix(rows)), det(Matrix(rows)))
+        cached = m._ints()
+        assert all(type(row) is tuple for row in cached[0])
+        for _ in range(2):
+            assert (m @ b, rref(m), rank(m), det(m)) == before
+            assert (b.T @ m.T) == before[0].T
+        assert m._ints() is cached
+
+    def test_concurrent_products_fill_the_cache_consistently(self):
+        rng = random.Random(5)
+        rows_a = [[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(12)] for _ in range(12)]
+        rows_b = [[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(12)] for _ in range(12)]
+        expected = Matrix(rows_a) @ Matrix(rows_b)
+        for _ in range(20):
+            a, b = Matrix(rows_a), Matrix(rows_b)  # fresh: no integer form cached yet
+            barrier = threading.Barrier(8)
+            results = []
+
+            def work():
+                barrier.wait(timeout=10)
+                results.append(a @ b)
+
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 8 and all(r == expected for r in results)
 
 
 class TestDetInverse:

@@ -292,6 +292,18 @@ def test_rref_of_rational_matrices_matches_reference(rows):
 
 
 @SETTINGS
+@given(st.booleans().flatmap(lambda rational: matrices(rational=rational, max_rows=5, square=True)),
+       st.integers(0, 9))
+def test_power_matches_the_product_chain(rows, n):
+    chain = [[Fraction(int(i == j)) for j in range(len(rows))] for i in range(len(rows))]
+    for _ in range(n):
+        chain = reference_product(chain, rows)
+    power = Matrix(rows).power(n)
+    assert [list(row) for row in power.entries] == chain
+    assert normalised([x for row in power.entries for x in row])
+
+
+@SETTINGS
 @given(st.booleans().flatmap(lambda rational: matrices(rational=rational)))
 def test_rank_matches_reference(rows):
     assert rank(Matrix(rows)) == len(reference_rref(rows)[1])
@@ -670,6 +682,8 @@ def test_equivariance_and_orbit_sums_match_stated_order_loops(case, data):
     phi, a_y, a_x = case
     for y, x in ((a_y, a_x), (a_x, a_y), (a_y, a_y)):
         assert repr(check_equivariant(phi, y, x)) == repr(reference_equivariant(phi, y, x))
+    twin = GActionLattice(a_y.surface, a_y.order, Matrix(a_y.gen.entries))  # equal, not the same
+    assert repr(check_equivariant(phi, a_y, twin)) == repr(check_equivariant(phi, a_y, a_y))
     m = data.draw(st.sampled_from([d for d in range(1, a_y.order + 1) if a_y.order % d == 0]))
     e = data.draw(characters(a_y.surface))
     try:
