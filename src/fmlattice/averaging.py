@@ -191,10 +191,8 @@ def _companion(poly) -> Matrix:
 
 
 def _cycle_matrix(k: int) -> Matrix:
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k):
-        rows[(i + 1) % k][i] = 1
-    return Matrix(rows)
+    """The permutation matrix of the k-cycle e_i -> e_(i+1 mod k)."""
+    return Matrix([[int(j == (i - 1) % k) for j in range(k)] for i in range(k)])
 
 
 def random_rep(rng: random.Random, max_order: int = 12, max_dim: int = 20) -> CyclicRep:
@@ -217,13 +215,14 @@ def random_rep(rng: random.Random, max_order: int = 12, max_dim: int = 20) -> Cy
     filled = 0
     while filled < dim:
         remaining = dim - filled
-        options = [Matrix([[1]])]
+        options = [(_cycle_matrix, 1)]  # (builder, argument); the 1-cycle is [[1]]
         for k, phi in totients.items():
             if 1 < k <= remaining:
-                options.append(_cycle_matrix(k))
+                options.append((_cycle_matrix, k))
             if 1 < k and phi <= remaining:
-                options.append(_companion(_cyclotomic(k)))
-        block = rng.choice(options)
+                options.append((_companion, _cyclotomic(k)))
+        build, arg = rng.choice(options)
+        block = build(arg)  # only the drawn block is built
         blocks.append(block)
         filled += block.nrows
     gen = block_diagonal(blocks)

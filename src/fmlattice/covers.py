@@ -79,6 +79,11 @@ class CoverTransfer:
         preserved; built once per transfer."""
         return block_diagonal([Matrix([[self.degree]]), self.push_num, Matrix([[1]])])
 
+    @cached_property
+    def degree_check(self) -> "CoverCheck":
+        """degree_identity(self); checked once per transfer."""
+        return degree_identity(self)
+
 
 @dataclass(frozen=True)
 class CoverCheck:
@@ -114,32 +119,22 @@ def validate_cover(t: CoverTransfer) -> CoverValidation:
         "degree_equals_canonical_order", ok,
         f"degree {t.degree} vs canonical order {t.base.canonical_order} of {t.base.name}"))
 
-    scaled = t.pull_num.T @ gc @ t.pull_num
-    expected = gb.scale(n)
-    if scaled == expected:
-        checks.append(CoverCheck("intersection_scaling", True,
-                                 f"pull^T G pull = {n} * G_base on all basis pairs"))
-    else:
-        i, j = next((i, j) for i in range(gb.nrows) for j in range(gb.ncols)
-                    if scaled[i, j] != expected[i, j])
-        checks.append(CoverCheck(
-            "intersection_scaling", False,
-            f"(pull e{i + 1}).(pull e{j + 1}) = {scaled[i, j]}, "
-            f"expected {n}*(e{i + 1}.e{j + 1}) = {expected[i, j]}"))
+    scaled, expected = t.pull_num.T @ gc @ t.pull_num, gb.scale(n)
+    i, j = _first_difference(scaled, expected)
+    checks.append(CoverCheck(
+        "intersection_scaling", i is None,
+        f"pull^T G pull = {n} * G_base on all basis pairs" if i is None else
+        f"(pull e{i + 1}).(pull e{j + 1}) = {scaled[i, j]}, "
+        f"expected {n}*(e{i + 1}.e{j + 1}) = {expected[i, j]}"))
 
-    lhs = t.push_num.T @ gb
-    rhs = gc @ t.pull_num
-    if lhs == rhs:
-        checks.append(CoverCheck("pushforward_adjointness", True,
-                                 "(push u).x = u.(pull x) on all basis pairs"))
-    else:
-        i, j = next((i, j) for i in range(lhs.nrows) for j in range(lhs.ncols)
-                    if lhs[i, j] != rhs[i, j])
-        checks.append(CoverCheck(
-            "pushforward_adjointness", False,
-            f"(push f{i + 1}).e{j + 1} = {lhs[i, j]} but f{i + 1}.(pull e{j + 1}) = {rhs[i, j]}"))
+    lhs, rhs = t.push_num.T @ gb, gc @ t.pull_num
+    i, j = _first_difference(lhs, rhs)
+    checks.append(CoverCheck(
+        "pushforward_adjointness", i is None,
+        "(push u).x = u.(pull x) on all basis pairs" if i is None else
+        f"(push f{i + 1}).e{j + 1} = {lhs[i, j]} but f{i + 1}.(pull e{j + 1}) = {rhs[i, j]}"))
 
-    checks.append(degree_identity(t))
+    checks.append(t.degree_check)
 
     ok = t.cover.chi_o == n * t.base.chi_o
     checks.append(CoverCheck(
@@ -147,6 +142,13 @@ def validate_cover(t: CoverTransfer) -> CoverValidation:
         f"chi(O_{t.cover.name}) = {t.cover.chi_o} vs {n} * chi(O_{t.base.name}) = {n * t.base.chi_o}"))
 
     return CoverValidation(tuple(checks))
+
+
+def _first_difference(a: Matrix, b: Matrix) -> tuple:
+    """(i, j) of the first entry where a and b differ, (None, None) if none."""
+    if a == b:
+        return None, None
+    return next((i, j) for i in range(a.nrows) for j in range(a.ncols) if a[i, j] != b[i, j])
 
 
 def degree_identity(t: CoverTransfer) -> CoverCheck:

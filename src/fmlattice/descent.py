@@ -6,23 +6,25 @@ purely numerical test: the gcd of the Euler pairings chi(pull F, E), as F
 runs over all classes on the base, equals 1.  Since chi is linear in F,
 the gcd over a finite generating set of the base lattice equals the gcd
 over everything -- that reduction is what makes the certificate finite.
-The generators used are the structure sheaf class, the divisor basis
-classes and the point class.
+The generators are O, the divisor basis classes and the point: the
+coordinate basis of (r, c, s), so by the adjunction chi(pull F, E) =
+chi(F, push E) the certificate is the base's Euler Gram matrix applied to
+push E, one value per generator.
 
 The converse direction carries a divisibility obstruction: when a proper
 orbit of length m < n sums to an honest pullback class, n/m divides every
-chi(pull F, E), so the gcd cannot be 1.  Both directions are computed on
-the base side through the adjunction chi(pull F, E) = chi(F, push E).
+chi(pull F, E), so the gcd cannot be 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .covers import CoverTransfer, pushforward_ch
-from .lattice import as_rational, solve_rational
-from .surfaces import ExtendedVector, InvariantError, NumericalSurface, euler_pairing
+from .lattice import Matrix, as_rational, solve_rational
+from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi
 from .transport import GActionLattice
 
 
@@ -57,23 +59,26 @@ class GcdCertificate:
         return cls(values, g, g == 1)
 
 
+@lru_cache(maxsize=None)
+def _labels(dim: int) -> tuple:
+    return ("O",) + tuple([f"e{j + 1}" for j in range(dim)]) + ("point",)
+
+
 def generator_set(surface: NumericalSurface) -> list:
-    """Labeled generators of the numerical Grothendieck lattice:
-    structure sheaf, divisor basis classes, point."""
-    gens = [("O", surface.structure_class())]
-    for j in range(surface.dim):
-        c = tuple([int(i == j) for i in range(surface.dim)])
-        gens.append((f"e{j + 1}", surface.character(0, c, 0)))
-    gens.append(("point", surface.point_class()))
-    return gens
+    """The labeled basis O, e1..ed, point of the numerical Grothendieck lattice."""
+    units = Matrix.identity(surface.extended_dim()).entries
+    return [(label, surface.character(u[0], u[1:-1], u[-1]))
+            for label, u in zip(_labels(surface.dim), units)]
 
 
 def freeness_gcd(t: CoverTransfer, e: ExtendedVector) -> GcdCertificate:
-    """The descent certificate of a class e on the cover of t."""
-    pushed = pushforward_ch(t, e)
-    values = [(label, euler_pairing(t.base, f, pushed))
-              for label, f in generator_set(t.base)]
-    return GcdCertificate.from_values(values)
+    """The descent certificate of a class e on the cover of t: the values
+    chi(F, push e) over the generators F are euler_gram(base) push e."""
+    base, pushed = t.base, pushforward_ch(t, e)
+    if any(row[j] % 2 for j, row in enumerate(base.num.gram.entries)):
+        generator_set(base)  # raises the parity error of the first odd e_j
+    values = base.euler_gram.apply(pushed.coords())
+    return GcdCertificate.from_values(zip(_labels(base.dim), map(_integral_chi, values)))
 
 
 def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVector:
@@ -127,13 +132,9 @@ def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> Obs
         raise ValueError(f"{m} does not divide the cover degree {n}")
     preimage = solve_rational(t.pull_extended, tuple([m * x for x in e.coords()]))
     cert = freeness_gcd(t, e)
-    if preimage is None:
-        return ObstructionReport(
-            False, "orbit sum is not a rational pullback", None, None, cert.values)
-    if not t.base.is_integral_class(preimage[0], preimage[1:-1], preimage[-1]):
-        return ObstructionReport(
-            False, "orbit sum is not the pullback of an integral class",
-            None, None, cert.values)
+    if preimage is None or not t.base.is_integral_class(preimage[0], preimage[1:-1], preimage[-1]):
+        reason = "a rational pullback" if preimage is None else "the pullback of an integral class"
+        return ObstructionReport(False, f"orbit sum is not {reason}", None, None, cert.values)
     divisor = n // m
     all_divisible = all(val % divisor == 0 for _, val in cert.values)
     return ObstructionReport(True, None, divisor, all_divisible, cert.values)

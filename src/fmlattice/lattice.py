@@ -142,7 +142,9 @@ class Matrix:
         cols = [tuple(c) for c in cols]
         if not cols:
             raise DimensionError("no columns")
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise DimensionError("columns must be of equal length")
+        return cls(list(zip(*cols)))
 
     @property
     def entries(self) -> tuple:

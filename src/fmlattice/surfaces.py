@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .lattice import BilinearForm, DimensionError, Matrix, as_rational
+from .lattice import BilinearForm, DimensionError, Matrix, as_rational, dot
 
 
 class InvariantError(ValueError):
@@ -143,17 +143,18 @@ class NumericalSurface:
         return self.dim + 2
 
     @cached_property
+    def euler_gram(self) -> Matrix:
+        """Gram matrix X of Riemann-Roch, chi(E, F) = coords(E)^T X coords(F),
+        in the coordinates (r, c_1..c_d, s); built once per surface."""
+        zeros = [0] * self.dim
+        rows = [[0, *[-x for x in row], 0] for row in self.num.gram.entries]
+        return Matrix([[self.chi_o, *zeros, 1], *rows, [1, *zeros, 0]])
+
+    @cached_property
     def mukai_gram(self) -> Matrix:
-        """Gram matrix of the Mukai pairing on H^0 + Num + H^4 in the
-        coordinates (r, c_1..c_d, s); built once per surface."""
-        d = self.dim
-        rows = [[0] * (d + 2) for _ in range(d + 2)]
-        rows[0][d + 1] = -1
-        rows[d + 1][0] = -1
-        for i in range(d):
-            for j in range(d):
-                rows[1 + i][1 + j] = self.num.gram[i, j]
-        return Matrix(rows)
+        """Gram matrix of the Mukai pairing, <v(E), v(F)> = -chi(E, F): the
+        twist by sqrt(td) absorbs the chi(O) corner of -euler_gram."""
+        return -(self.euler_gram - Matrix.diagonal([self.chi_o] + [0] * (self.dim + 1)))
 
     def is_integral_class(self, r, c, s) -> bool:
         """Whether (r, c, s) is the character of an honest integral class:
@@ -166,15 +167,18 @@ class NumericalSurface:
 
 
 def euler_pairing(surface: NumericalSurface, e, f) -> int:
-    """chi(E, F) by Riemann-Roch on a surface with numerically trivial
-    canonical class.  Raises if the result fails to be an integer, which
-    can only happen for classes violating the parity invariant."""
+    """chi(E, F) = coords(E)^T X coords(F) for X = surface.euler_gram."""
     if len(e.c) != surface.dim or len(f.c) != surface.dim:
         raise DimensionError(f"class does not live on {surface.name}")
-    chi = e.r * f.r * surface.chi_o + e.r * f.s + f.r * e.s - surface.num.pair(e.c, f.c)
-    if chi.denominator != 1:
+    return _integral_chi(dot(e.coords(), surface.euler_gram.apply(f.coords())))
+
+
+def _integral_chi(chi) -> int:
+    """chi as an int; only classes violating the parity invariant fail."""
+    chi = as_rational(chi)
+    if not isinstance(chi, int):
         raise InvariantError(f"chi(E,F) = {chi} is not an integer")
-    return int(chi)
+    return chi
 
 
 def mukai_vector(surface: NumericalSurface, e: ExtendedVector) -> ExtendedVector:

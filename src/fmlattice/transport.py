@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .averaging import CyclicRep
-from .covers import CoverTransfer, degree_identity
+from .covers import CoverTransfer
 from .lattice import DimensionError, Matrix, as_rational, kernel_basis
 from .surfaces import InvariantError, NumericalSurface
 
@@ -117,16 +117,9 @@ def tensor_twist(surface: NumericalSurface, divisor) -> LatticeIsometry:
         raise DimensionError(f"divisor does not live on {surface.name}")
     g_ell = surface.num.gram.apply(ell)
     half_sq = Fraction(surface.num.pair(ell, ell), 2)
-    d = surface.dim
-    rows = [[0] * (d + 2) for _ in range(d + 2)]
-    rows[0][0] = 1
-    for i in range(d):
-        rows[1 + i][0] = ell[i]
-        rows[1 + i][1 + i] = 1
-    rows[d + 1][0] = half_sq
-    for j in range(d):
-        rows[d + 1][1 + j] = g_ell[j]
-    rows[d + 1][d + 1] = 1
+    rows = [[1] + [0] * (surface.dim + 1)]
+    rows += [[x, *row, 0] for x, row in zip(ell, Matrix.identity(surface.dim).entries)]
+    rows.append([half_sq, *g_ell, 1])
     return LatticeIsometry(surface, surface, Matrix(rows))
 
 
@@ -257,11 +250,10 @@ def lift_isometry(phi: LatticeIsometry, t_y: CoverTransfer, t_x: CoverTransfer):
         raise ValueError(f"cover degrees differ: {t_y.degree} vs {t_x.degree}")
     if phi.source != t_y.base or phi.target != t_x.base:
         raise ValueError("isometry does not connect the two base lattices")
-    for t in (t_y,) if t_y is t_x else (t_y, t_x):
-        check = degree_identity(t)
-        if not check.passed:
+    for t in (t_y, t_x):
+        if not t.degree_check.passed:
             raise ValueError(f"cover of {t.base.name} by {t.cover.name} violates axiom "
-                             f"'degree_identity': {check.detail}")
+                             f"'degree_identity': {t.degree_check.detail}")
     pull_y, pull_x = t_y.pull_extended, t_x.pull_extended
     push_y, push_x = t_y.push_extended, t_x.push_extended
     pulled = pull_x @ phi.mat

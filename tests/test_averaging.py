@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fmlattice import averaging
 from fmlattice.averaging import (
     CyclicRep,
     descend_invariant,
@@ -198,6 +199,22 @@ class TestConstruction:
             rep = random_rep(rng, max_order=10**18, max_dim=8)
             assert 1 <= rep.dim <= 8
         assert time.perf_counter() - start < 5
+
+    def test_one_fill_pass_builds_one_block(self, monkeypatch):
+        # the candidates are (builder, argument) pairs: only the drawn one is built
+        built, chosen = [], []
+        for name in ("_cycle_matrix", "_companion"):
+            original = getattr(averaging, name)
+            monkeypatch.setattr(averaging, name,
+                                lambda arg, original=original: built.append(original(arg)) or built[-1])
+        block_diagonal = averaging.block_diagonal
+        monkeypatch.setattr(averaging, "block_diagonal",
+                            lambda blocks: chosen.append(len(blocks)) or block_diagonal(blocks))
+        rng = random.Random(21)
+        for _ in range(40):
+            del built[:], chosen[:]
+            rep = random_rep(rng, max_order=12, max_dim=20)
+            assert chosen == [len(built)] and sum(b.nrows for b in built) == rep.dim
 
     def test_random_rep_bounds(self):
         rng = random.Random(55)

@@ -5,6 +5,7 @@ import pytest
 
 from fmlattice.catalog import builtin_catalog
 from fmlattice.covers import ExtendedVector, pushforward_ch
+from fmlattice.defsio import load_definitions
 from fmlattice.descent import (
     GcdCertificate,
     divisibility_obstruction,
@@ -112,6 +113,44 @@ class TestFreenessGcd:
         cert = GcdCertificate.from_values([("a", Fraction(4, 2)), ("b", "-6")])
         assert cert.values == (("a", 2), ("b", -6)) and cert.gcd == 2
         assert all(type(v) is int for _, v in cert.values)
+
+    def test_odd_base_lattice_raises_the_generator_parity_error(self):
+        # e2 has square -1 on the base, so the class (0, e2, 0) is not the
+        # character of an integral class; the certificate refuses the base
+        defs = """
+surface odd_base {
+  rank 2
+  intersection [2,0;0,-1]
+  chi_o 0
+  canonical_order 2
+}
+surface odd_cover {
+  rank 2
+  intersection [4,0;0,-2]
+  chi_o 0
+  canonical_order 1
+}
+cover odd_cover_2 {
+  base odd_base
+  cover odd_cover
+  degree 2
+  pull [1,0;0,1]
+  push [2,0;0,2]
+}
+"""
+        catalog = CATALOG.extend(load_definitions(defs, registry=CATALOG.registry()))
+        t = catalog.covers["odd_cover_2"]
+        message = "^2\\*ch2 \\+ c1\\^2 = -1 must be an even integer on odd_base$"
+        with pytest.raises(InvariantError, match=message):
+            generator_set(t.base)
+        with pytest.raises(InvariantError, match=message):
+            freeness_gcd(t, t.cover.structure_class())
+
+    def test_non_integral_chi_is_refused(self):
+        # a half-integral s is no integral class: chi(O, push e) = 1/2
+        t = CATALOG.covers["bielliptic_cover_2"]
+        with pytest.raises(InvariantError, match="^chi\\(E,F\\) = 1/2 is not an integer$"):
+            freeness_gcd(t, ExtendedVector(1, (0, 0), Fraction(1, 2)))
 
 
 def _random_char(rng, surface):

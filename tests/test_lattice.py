@@ -65,6 +65,17 @@ class TestMatrixBasics:
         with pytest.raises(DimensionError, match="shape mismatch in subtraction"):
             a - a.T
 
+    def test_from_columns_refuses_a_longer_later_column(self):
+        # the row count used to come from the first column, dropping the 3
+        with pytest.raises(DimensionError, match="columns must be of equal length"):
+            Matrix.from_columns([(1,), (2, 3)])
+
+    def test_from_columns_refuses_a_shorter_later_column(self):
+        # this used to raise IndexError
+        with pytest.raises(DimensionError, match="columns must be of equal length"):
+            Matrix.from_columns([(1, 2), (3,)])
+        assert Matrix.from_columns([(1, 2), (3, 4)]) == Matrix([[1, 3], [2, 4]])
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Matrix([[0.5]])

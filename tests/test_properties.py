@@ -40,7 +40,7 @@ from fmlattice import covers
 from fmlattice.catalog import builtin_catalog
 from fmlattice.covers import chi_adjunction_check, validate_cover
 from fmlattice.defsio import load_definitions
-from fmlattice.descent import orbit_sum
+from fmlattice.descent import freeness_gcd, generator_set, orbit_sum
 from fmlattice.lattice import (
     BilinearForm,
     Matrix,
@@ -589,6 +589,44 @@ def test_lift_then_descend_returns_the_isometry(name, word):
     assert len(lifts) == 1
     back = descend_isometry(lifts[0], t, t)
     assert back and back.isometry.mat == phi.mat
+
+
+def reference_chi(surface, e, f):
+    """Riemann-Roch written out: r_E r_F chi(O) + r_E s_F + r_F s_E - c_E.c_F."""
+    g = surface.num.gram.entries
+    cc = sum(x * g[i][j] * y for i, x in enumerate(e.c) for j, y in enumerate(f.c))
+    return e.r * f.r * surface.chi_o + e.r * f.s + f.r * e.s - cc
+
+
+CHI_SURFACES = st.sampled_from(sorted(LIFT_CATALOG.surfaces.items())).map(lambda item: item[1])
+CERTIFIED_COVERS = sorted(CATALOG.covers) + ["enriques_k3_18_cover"]
+
+
+@SETTINGS
+@given(CHI_SURFACES.flatmap(lambda s: st.tuples(st.just(s), characters(s), characters(s))))
+def test_euler_pairing_matches_the_scalar_formula(case):
+    surface, e, f = case
+    assert euler_pairing(surface, e, f) == reference_chi(surface, e, f)
+
+
+@SETTINGS
+@given(st.sampled_from(CERTIFIED_COVERS), st.data())
+def test_certificate_is_the_scalar_chi_of_each_generator(name, data):
+    # half-integral s is drawn too: then the certificate must raise on the
+    # first non-integral chi, in generator order
+    t = LIFT_CATALOG.covers[name]
+    d = t.cover.dim
+    e = ExtendedVector(data.draw(st.integers(-6, 6)),
+                       tuple(data.draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))),
+                       Fraction(data.draw(st.integers(-12, 12)), 2))
+    pushed = covers.pushforward_ch(t, e)
+    expected = [(label, reference_chi(t.base, f, pushed)) for label, f in generator_set(t.base)]
+    bad = next((v for _, v in expected if v.denominator != 1), None)
+    if bad is None:
+        assert list(freeness_gcd(t, e).values) == expected
+    else:
+        with pytest.raises(InvariantError, match=f"^chi\\(E,F\\) = {bad} is not an integer$"):
+            freeness_gcd(t, e)
 
 
 # The cyclic-action functions loop over the true order of the generator;

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fmlattice import covers
 from fmlattice.averaging import CyclicRep
 from fmlattice.catalog import builtin_catalog
 from fmlattice.covers import CoverTransfer, validate_cover
@@ -328,3 +329,14 @@ class TestLiftPrecondition:
             lift_isometry(identity_isometry(base), t, t)
         with pytest.raises(ValueError, match="degree_identity"):
             lift_isometry(identity_isometry(base), BI2, t)
+
+    def test_degree_identity_is_checked_once_per_transfer(self, monkeypatch):
+        calls = []
+        original = covers.degree_identity
+        monkeypatch.setattr(covers, "degree_identity", lambda t: calls.append(t) or original(t))
+        base = CATALOG.surfaces["bielliptic_2"]
+        t = CoverTransfer(base, BI2.cover, 2, BI2.pull_num, BI2.push_num)
+        for _ in range(3):
+            assert len(lift_isometry(identity_isometry(base), t, t)) == 1
+        assert validate_cover(t).passed
+        assert calls == [t] and covers.degree_identity(t) == t.degree_check
