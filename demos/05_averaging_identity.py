@@ -43,7 +43,9 @@ print()
 print("invariant representative of (1,0) mod span{(1,-1)}:", t)
 assert t == (Fraction(1, 2), Fraction(1, 2))
 
-# With V the whole space this is just averaging: the result is killed
-# by B whatever s was.
+# The representative is always the cyclic average (1/n) N s.  With V
+# the whole space every invariant vector would do, and the average of
+# s = (3,-5) over its orbit {(3,-5), (-5,3)} is (-1,-1).
 t = descend_invariant(rep2, [(1, 0), (0, 1)], (3, -5))
 print("invariant representative mod the whole space:", t)
+assert t == (-1, -1)

@@ -8,8 +8,9 @@ For a representation of Z_n with generator matrix g, put
 Then N B = B N = 0 and, over a field of characteristic zero, the kernel
 of N equals the image of B.  That identity is the engine behind descent
 of invariant morphisms: if B s lies in a g-stable subspace V, some k in V
-has B k = B s, and t = s - k is an invariant representative of s modulo
-V.  descend_invariant computes such a t constructively.
+has B k = B s, and s - k is an invariant representative of s modulo V.
+descend_invariant returns the cyclic average t = (1/n) N s, such a
+representative, certified by one forward elimination.
 
 CyclicRep is the one cyclic-action type (transport.GActionLattice is a
 CyclicRep of an extended lattice).  Its stated order n is checked once,
@@ -30,18 +31,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
-from .lattice import (
-    DimensionError,
-    Matrix,
-    _exact,
-    _summed,
-    block_diagonal,
-    rank,
-    rref,
-    solve_rational,
-    vector,
-)
+from .lattice import DimensionError, Matrix, _summed, block_diagonal, pivot_columns, rank, vector
 from .surfaces import InvariantError
 
 
@@ -114,11 +106,12 @@ def verify_ker_im(rep: CyclicRep) -> KerImReport:
 
 
 def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
-    """An invariant representative of s modulo a g-stable subspace.
+    """The cyclic average of s: an invariant representative of s modulo a
+    g-stable subspace, given by spanning vectors.
 
-    subspace is given by spanning vectors.  Preconditions checked: the
-    span is stable under the generator, and B s lies in it.  The result t
-    satisfies B t = 0 and t - s in span(subspace).
+    t = (1/l) (s + g s + .. + g^(l-1) s) over the orbit length l of s,
+    which is (1/n) N s.  Checked: the span is stable under the generator,
+    B s lies in it, t - s lies in it and g t = t.
     """
     vecs = [vector(v) for v in subspace]
     if any(len(v) != rep.dim for v in vecs):
@@ -126,32 +119,37 @@ def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
     if len(s) != rep.dim:
         raise DimensionError("vector must have the representation's dimension")
     s = vector(s)
-    b_op = difference_operator(rep)
-    bs = b_op.apply(s)
+    orbit, v = [s], rep.gen.apply(s)
+    bs = vector(map(sub, s, v))  # B s = s - g s
     if not vecs:
         if any(bs):
             raise ValueError("B s does not lie in the subspace")
         return s
-    # One elimination of [S | gS | Bs] decides both preconditions: a pivot
-    # among the gS columns is an image g v outside span(S), and once the
-    # span is stable, a pivot in the last column is B s outside it.
-    span = Matrix.from_columns(vecs)
+    while v != s:  # the orbit closes within the order, g^n = 1
+        orbit.append(v)
+        v = rep.gen.apply(v)
+    total, length = [sum(xs) for xs in zip(*orbit)], len(orbit)
+    t = vector([Fraction(x, length) for x in total])
+    # One forward elimination of [S | gS | Bs | l (s - t)] decides every
+    # check: a pivot among the gS columns is an image g v outside span(S);
+    # once the span is stable, a pivot at Bs is B s outside it, and one in
+    # the last column is t - s outside it.  That cannot happen: by ker N =
+    # im B on the span, B k = B s for some k in it, and t - s is the
+    # average of k less k.  The factor l keeps integral data integral.
+    span = Matrix._trusted(tuple(list(zip(*vecs))), all([type(x) is int for vec in vecs for x in vec]))
     gspan = rep.gen @ span
+    diff = vector([length * a - b for a, b in zip(s, total)])  # l (s - t)
     m = len(vecs)
-    stacked = Matrix._trusted(tuple([a + b + (c,) for a, b, c in zip(span.entries, gspan.entries, bs)]),
-                              span.is_integral and gspan.is_integral and all([type(c) is int for c in bs]))
-    pivots = rref(stacked)[1]
+    stacked = Matrix._trusted(tuple([a + b + (c, e) for a, b, c, e in zip(span.entries, gspan.entries, bs, diff)]),
+                              span.is_integral and gspan.is_integral and all([type(x) is int for x in bs + diff]))
+    pivots = pivot_columns(stacked)
     if any(m <= p < 2 * m for p in pivots):
         raise ValueError("subspace is not stable under the group generator")
     if 2 * m in pivots:
         raise ValueError("B s does not lie in the subspace")
-    # Bs is in the subspace and killed by the norm, hence in B(subspace)
-    coeffs = solve_rational(span - gspan, bs)  # B S = S - g S
-    if coeffs is None:
+    if 2 * m + 1 in pivots:
         raise InvariantError("no subspace element maps to B s under B")
-    k = span.apply(coeffs)
-    t = tuple([_exact(a - b) for a, b in zip(s, k)])
-    if any(b_op.apply(t)):
+    if rep.gen.apply(t) != t:
         raise InvariantError("descended vector is not invariant")
     return t
 

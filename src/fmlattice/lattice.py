@@ -20,10 +20,10 @@ at the end), and _divided divides ints exactly, to ints where it can and
 Fractions elsewhere, flagging whether all were ints.  Each matrix is
 cleared once: _ints caches its integer rows (tuples, so no elimination
 changes them in place), d and max |entry| for products, apply, scale, rref,
-rank and det.  Smith normal form works on one matrix [[m, I], [I, 0]]: row
-operations on its first nrows rows move m and U together, column
-operations on its first ncols m and V; a column pass is a row pass on the
-transpose.
+rank and det.  Smith normal form and integer solving share one pass loop
+on [[m, R], [I, 0]]: row operations on its first nrows rows move m and R
+together, column operations on its first ncols m and V; a column pass is
+a row pass on the transpose.  R = I gives U, R = b gives U b alone.
 
 Products take one path for every operand, int or Fraction, at every
 size.  Each operand is cleared; each row of the right operand is packed
@@ -210,8 +210,10 @@ class Matrix:
             raise DimensionError(f"vector of length {len(v)} against {self.nrows}x{self.ncols}")
         rows, d, _ = self._ints()
         if not all(type(x) is int for x in v):
-            (v,), dv = _cleared((vector(v),), False)
-            d *= dv
+            v = vector(v)  # Fractions of denominator 1 become ints: most vectors need no clearing
+            if not all(type(x) is int for x in v):
+                (v,), dv = _cleared((v,), False)
+                d *= dv
         out = [sum(map(mul, row, v)) for row in rows]
         return tuple(out if d == 1 else _divided(out, d)[0])
 
@@ -353,6 +355,11 @@ def rref(m: Matrix) -> tuple:
     return Matrix._trusted(tuple([tuple(row) for row in a]), integral), tuple(pivots)
 
 
+def pivot_columns(m: Matrix) -> tuple:
+    """The pivot columns of a row-echelon form of m, from one forward elimination."""
+    return tuple(_eliminate(list(m._ints()[0]), False)[0])
+
+
 def rank(m: Matrix) -> int:
     return len(_eliminate(list(m._ints()[0]), False)[0])
 
@@ -457,6 +464,19 @@ def smith_normal_form(m: Matrix) -> tuple:
 
     U and V are unimodular; D is diagonal with nonnegative entries and
     each diagonal entry divides the next.  Total on all integer matrices.
+    The passes of _smith run on [[m, I], [I, 0]] and leave [[D, U], [V, 0]].
+    """
+    nrows, ncols = m.nrows, m.ncols
+    a = _smith(m, [[int(i == j) for j in range(nrows)] for i in range(nrows)])
+    top, bottom = a[:nrows], a[nrows:]
+    return (Matrix._trusted(tuple([tuple(row[ncols:]) for row in top]), True),
+            Matrix._trusted(tuple([tuple(row[:ncols]) for row in top]), True),
+            Matrix._trusted(tuple([tuple(row[:ncols]) for row in bottom]), True))
+
+
+def _smith(m: Matrix, right) -> list:
+    """The working matrix [[m, right], [I, 0]] of Smith normal form, its
+    rows as lists, brought to [[D, U right], [V, 0]] with U m V = D.
 
     Row and column Hermite passes alternate until the m-block is diagonal
     (Kannan and Bachem, SIAM J. Comput. 8(4), 1979); reducing every entry
@@ -465,14 +485,14 @@ def smith_normal_form(m: Matrix) -> tuple:
     a divisor of the one before, equal only if it divides its whole row
     (column), which the next pass then clears for good.  The last pass
     leaves the diagonal positive, zeros last; a 2x2 gcd/lcm step on each
-    pair of diagonal entries then makes each divide the next.
+    pair of diagonal entries then makes each divide the next.  Every
+    choice reads the m-block alone, so D and V do not depend on right.
     """
     if not m.is_integral:
         raise ValueError("Smith normal form needs an integer matrix")
     nrows, ncols = m.nrows, m.ncols
-    # one working matrix [[m, I], [I, 0]], see the module docstring
-    a = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m.entries)]
-    a += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
+    a = [list(row) + list(r) for row, r in zip(m.entries, right)]
+    a += [[int(i == j) for j in range(ncols)] + [0] * len(right[0]) for i in range(ncols)]
     while True:
         for shape in ((nrows, ncols), (ncols, nrows)):  # a row pass, then a column pass
             _hnf(a, *shape)
@@ -491,32 +511,29 @@ def smith_normal_form(m: Matrix) -> tuple:
                           [xg * w - yg * u for u, w in zip(a[i], a[j])])
             for row in a:  # diag(x, y) is now diag(g, x y / g)
                 row[i], row[j] = row[i] + row[j], s * xg * row[j] - t * yg * row[i]
-    top, bottom = a[:nrows], a[nrows:]
-    return (Matrix._trusted(tuple([tuple(row[ncols:]) for row in top]), True),
-            Matrix._trusted(tuple([tuple(row[:ncols]) for row in top]), True),
-            Matrix._trusted(tuple([tuple(row[:ncols]) for row in bottom]), True))
+    return a
 
 
 def solve_integer(m: Matrix, b) -> tuple | None:
-    """An integer solution of m x = b, or None when none exists."""
+    """An integer solution of m x = b, or None when none exists: V D^-1 U b,
+    from the passes of _smith on [[m, b], [I, 0]], which carry U b, not U."""
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length mismatch")
     if not m.is_integral or not all(isinstance(_exact(x), int) for x in b):
         raise ValueError("solve_integer needs integer data")
-    u, d, v = smith_normal_form(m)
-    c = u.apply(tuple(b))
-    y = [0] * m.ncols
-    k = min(m.nrows, m.ncols)
-    for i in range(m.nrows):
-        di = d[i, i] if i < k else 0
+    nrows, ncols = m.nrows, m.ncols
+    a = _smith(m, [[x] for x in vector(b)])
+    y = [0] * ncols
+    for i, row in enumerate(a[:nrows]):
+        di, c = row[i] if i < ncols else 0, row[ncols]
         if di:
-            q, r = divmod(c[i], di)
+            q, r = divmod(c, di)
             if r:
                 return None
             y[i] = q
-        elif c[i]:
+        elif c:
             return None
-    return v.apply(tuple(y))
+    return tuple([sum(map(mul, row, y)) for row in a[nrows:]])
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,15 @@ class TestDescendInvariant:
             assert solve_rational(M.from_columns(cols), diff) is not None
             checked += 1
 
+    def test_whole_space_gives_the_cyclic_average(self):
+        # every invariant vector is a representative here; the average of
+        # the orbit {(3, -5), (-5, 3)} is the one returned
+        swap = CyclicRep(2, 2, Matrix([[0, 1], [1, 0]]))
+        assert descend_invariant(swap, [(1, 0), (0, 1)], (3, -5)) == (-1, -1)
+        # the orbit of e_0 under the 3-cycle is e_0, e_1, e_2
+        whole = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert descend_invariant(regular_rep(3), whole, (1, 0, 0)) == (Fraction(1, 3),) * 3
+
     def test_empty_subspace_returns_normalised_entries(self):
         rep = CyclicRep(2, 2, Matrix.identity(2))
         t = descend_invariant(rep, [], (Fraction(1), Fraction(4, 2)))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fmlattice import lattice
 from fmlattice.lattice import (
     BilinearForm,
     DimensionError,
@@ -118,6 +119,15 @@ class TestMatrixBasics:
         out = Matrix([[2, 4], [1, 1]]).apply((Fraction(1, 2), Fraction(1, 4)))
         assert out == (2, Fraction(3, 4)) and type(out[0]) is int
         assert all(type(x) is int for x in Matrix([[1, 2]]).apply((Fraction(4, 2), 1)))
+
+    def test_apply_does_not_clear_whole_fractions(self, monkeypatch):
+        # ExtendedVector.s is a Fraction even when whole: such a vector is
+        # the int vector, and the integer matrix needs no common denominator
+        m = Matrix([[3, -1, 2], [0, 5, 7]])
+        ints = m.apply((4, -2, 9))
+        monkeypatch.setattr(lattice, "_cleared", None)  # m's integer rows are cached
+        out = m.apply((Fraction(4), Fraction(-4, 2), 9))
+        assert out == ints and all(type(x) is int for x in out)
 
     def test_apply_rejects_inexact_vectors(self):
         with pytest.raises(TypeError):

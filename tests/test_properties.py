@@ -404,6 +404,30 @@ def test_solve_integer_solves_a_consistent_system(rows, data):
     assert [row[0] for row in reference_product(rows, [[xi] for xi in x])] == list(b)
 
 
+@SETTINGS
+@given(st.one_of(matrices(max_rows=8, max_cols=8), matrices(max_rows=8, square=True)), st.data())
+def test_solve_integer_is_read_off_the_smith_normal_form(rows, data):
+    # consistent systems b = m x0 and arbitrary b, most of them inconsistent
+    m = Matrix(rows)
+    if data.draw(st.booleans()):
+        b = m.apply(data.draw(st.lists(st.integers(-9, 9), min_size=m.ncols, max_size=m.ncols)))
+    else:
+        b = tuple(data.draw(st.lists(st.integers(-30, 30), min_size=m.nrows, max_size=m.nrows)))
+    u, d, v = smith_normal_form(m)
+    c = u.apply(b)
+    y = [0] * m.ncols
+    expected = None
+    for i in range(m.nrows):
+        di = d[i, i] if i < m.ncols else 0
+        if (c[i] % di if di else c[i]) != 0:
+            break
+        if di:
+            y[i] = c[i] // di
+    else:
+        expected = v.apply(y)
+    assert solve_integer(m, b) == expected
+
+
 reps = st.integers(0, 2**32).map(lambda seed: random_rep(random.Random(seed), max_order=12,
                                                          max_dim=10))
 
@@ -470,6 +494,26 @@ def test_descend_invariant_on_orbit_spans(rep, data):
     assert b_op.apply(t) == (0,) * rep.dim
     assert normalised(t)
     assert in_span(span, tuple(a - b for a, b in zip(s, t)))
+
+
+@SETTINGS
+@given(reps, st.booleans(), st.data())
+def test_descend_invariant_is_the_cyclic_average(rep, whole_space, data):
+    s = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rep.dim, max_size=rep.dim)))
+    if whole_space:
+        span = [tuple([int(i == j) for i in range(rep.dim)]) for j in range(rep.dim)]
+    else:
+        span, v = [], difference_operator(rep).apply(s)
+        for _ in range(rep.order):
+            span.append(v)
+            v = rep.gen.apply(v)
+    total, v = [Fraction(0)] * rep.dim, s
+    for _ in range(rep.order):  # the stated order n, not the orbit length
+        total = [a + b for a, b in zip(total, v)]
+        v = rep.gen.apply(v)
+    t = descend_invariant(rep, span, s)
+    assert t == tuple([x / rep.order for x in total])
+    assert normalised(t)
 
 
 @settings(max_examples=60, deadline=None,
