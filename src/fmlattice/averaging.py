@@ -16,7 +16,9 @@ CyclicRep is the one cyclic-action type (transport.GActionLattice is a
 CyclicRep of an extended lattice).  Its stated order n is checked once,
 by the power g^n = 1; loops run to the true order t, the first k >= 1
 with g^k = 1, which divides n and, for finite order over Q, is bounded
-in terms of the dimension.  N is n/t times the sum of powers().
+in terms of the dimension.  N is n/t times the sum S of powers(), and
+N B = B N = 0 is never multiplied out: it is the telescoping identity
+(1 - g) S = S (1 - g) = 1 - g^t with g^t = 1 (see verify_ker_im).
 
 Everything is done over the exact rationals.  The kernel/image identity
 for a matrix with rational entries is independent of the field extension,
@@ -31,9 +33,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import sub
 
-from .lattice import DimensionError, Matrix, _summed, block_diagonal, pivot_columns, rank, vector
+from .lattice import DimensionError, Matrix, as_rational, block_diagonal, pivot_columns, rank, vector
 from .surfaces import InvariantError
 
 
@@ -47,8 +50,11 @@ class CyclicRep:
 
     def __post_init__(self, where: str = "", integral: bool = False):
         # GActionLattice passes where its generator acts and integral=True
-        if self.order < 1:
-            raise ValueError("order must be a positive integer")
+        for name in ("order", "dim"):
+            value = as_rational(getattr(self, name))  # bools and floats raise TypeError
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, value)
         if not (self.gen.is_square and self.gen.nrows == self.dim):
             raise DimensionError(f"generator must be {self.dim}x{self.dim}{where}")
         if integral and not self.gen.is_integral:
@@ -68,13 +74,20 @@ class CyclicRep:
         return result
 
 
+def _power_sum(rep: CyclicRep) -> tuple:
+    """(rows, d, t): the sum S of the t powers of powers(), as integer
+    rows over one common denominator d, from each power's cleared rows."""
+    cleared = [p._ints() for p in rep.powers()]
+    d = lcm(*[dp for _, dp, _ in cleared])
+    scaled = [rows if dp == d else [[x * (d // dp) for x in row] for row in rows] for rows, dp, _ in cleared]
+    return tuple([tuple([sum(col) for col in zip(*rows)]) for rows in zip(*scaled)]), d, len(cleared)
+
+
 def norm_operator(rep: CyclicRep) -> Matrix:
     """Sum of all powers of the generator: order / t times the sum of the
     t powers up to the true order t."""
-    pows = rep.powers()
-    total = _summed([list(map(sum, zip(*rows))) for rows in zip(*[p.entries for p in pows])],
-                    all([p.is_integral for p in pows]))
-    return total if len(pows) == rep.order else total.scale(rep.order // len(pows))
+    rows, d, t = _power_sum(rep)
+    return Matrix._trusted(rows, True).scale(Fraction(rep.order // t, d))
 
 
 def difference_operator(rep: CyclicRep) -> Matrix:
@@ -92,16 +105,18 @@ class KerImReport:
 def verify_ker_im(rep: CyclicRep) -> KerImReport:
     """Check ker(norm) = im(difference).
 
-    N B = B N = 0 is asserted (it is an identity, so a failure means a
-    corrupted representation).  N B = 0 puts im B inside ker N, so the two
-    subspaces are equal exactly when dim ker N = rank B.
+    N B = B N = 0 exactly, with no product: for S the sum of the t
+    powers, (1 - g) S = S (1 - g) = 1 - g^t telescopes for any square g,
+    and g^t = 1, compared exactly by powers() when t < n and by the
+    CyclicRep gate when t = n; N = (n/t) S.  So im B lies in ker N, and
+    they are equal exactly when dim ker N = rank B.  The ranks are taken
+    on integers: on S over its common denominator, and on d - G = d B
+    for the generator G / d.
     """
-    n_op = norm_operator(rep)
-    b_op = difference_operator(rep)
-    if any(map(any, (n_op @ b_op).entries + (b_op @ n_op).entries)):
-        raise InvariantError("norm and difference operators fail to annihilate each other")
-    dim_ker = rep.dim - rank(n_op)
-    rank_b = rank(b_op)
+    g, d, _ = rep.gen._ints()
+    db = tuple([tuple([d * (i == j) - x for j, x in enumerate(row)]) for i, row in enumerate(g)])
+    dim_ker = rep.dim - rank(Matrix._trusted(_power_sum(rep)[0], True))
+    rank_b = rank(Matrix._trusted(db, True))
     return KerImReport(dim_ker == rank_b, dim_ker, rank_b)
 
 

@@ -80,6 +80,12 @@ class CoverTransfer:
         return block_diagonal([Matrix([[self.degree]]), self.push_num, Matrix([[1]])])
 
     @cached_property
+    def euler_push(self) -> Matrix:
+        """euler_gram(base) @ push_extended: applied to e, chi(F, push e)
+        for the basis classes F of the base; built once per transfer."""
+        return self.base.euler_gram @ self.push_extended
+
+    @cached_property
     def degree_check(self) -> "CoverCheck":
         """degree_identity(self); checked once per transfer."""
         return degree_identity(self)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .covers import CoverTransfer, pushforward_ch
-from .lattice import Matrix, as_rational, solve_rational
+from .covers import CoverTransfer
+from .lattice import DimensionError, Matrix, as_rational, solve_rational
 from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi
 from .transport import GActionLattice
 
@@ -73,12 +73,14 @@ def generator_set(surface: NumericalSurface) -> list:
 
 def freeness_gcd(t: CoverTransfer, e: ExtendedVector) -> GcdCertificate:
     """The descent certificate of a class e on the cover of t: the values
-    chi(F, push e) over the generators F are euler_gram(base) push e."""
-    base, pushed = t.base, pushforward_ch(t, e)
-    if any(row[j] % 2 for j, row in enumerate(base.num.gram.entries)):
-        generator_set(base)  # raises the parity error of the first odd e_j
-    values = base.euler_gram.apply(pushed.coords())
-    return GcdCertificate.from_values(zip(_labels(base.dim), map(_integral_chi, values)))
+    chi(F, push e) over the generators F are euler_gram(base) push e, one
+    apply of t.euler_push."""
+    if len(e.c) != t.cover.dim:
+        raise DimensionError(f"class does not live on {t.cover.name}")
+    if any(row[j] % 2 for j, row in enumerate(t.base.num.gram.entries)):
+        generator_set(t.base)  # raises the parity error of the first odd e_j
+    values = t.euler_push.apply(e.coords())
+    return GcdCertificate.from_values(zip(_labels(t.base.dim), map(_integral_chi, values)))
 
 
 def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVector:

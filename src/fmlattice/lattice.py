@@ -226,8 +226,12 @@ class Matrix:
     def _entrywise(self, other, op, name: str) -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError(f"shape mismatch in {name}")
-        return _summed([list(map(op, r1, r2)) for r1, r2 in zip(self._e, other._e)],
-                       self._integral and other._integral)
+        rows = [list(map(op, r1, r2)) for r1, r2 in zip(self._e, other._e)]
+        integral = self._integral and other._integral
+        if not integral:  # Fraction results of denominator 1 become ints
+            rows = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+            integral = all([type(x) is int for row in rows for x in row])
+        return Matrix._trusted(tuple([tuple(row) for row in rows]), integral)
 
     def __neg__(self) -> "Matrix":
         return Matrix._trusted(tuple([tuple([-x for x in row]) for row in self._e]), self._integral)
@@ -275,15 +279,6 @@ def block_diagonal(blocks) -> Matrix:
         rows += [(0,) * j0 + row + (0,) * (m - j0 - b.ncols) for row in b.entries]
         j0 += b.ncols
     return Matrix._trusted(tuple(rows), all([b.is_integral for b in blocks]))
-
-
-def _summed(rows, integral: bool) -> Matrix:
-    """A trusted matrix of entrywise sums or differences; unless all terms
-    were ints (integral), Fraction results of denominator 1 become ints."""
-    if not integral:
-        rows = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
-        integral = all([type(x) is int for row in rows for x in row])
-    return Matrix._trusted(tuple([tuple(row) for row in rows]), integral)
 
 
 def _cleared(rows, integral: bool) -> tuple:

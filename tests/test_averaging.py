@@ -94,6 +94,25 @@ class TestKerIm:
             assert rep.dim - rank(a.T) >= 0
             assert (rep.dim - rank(a)) == rank(b)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_makes_no_product_beyond_the_powers(self, monkeypatch, seed):
+        # N B = B N = 0 holds by telescoping; the check must not multiply
+        # N and B out again
+        rep = random_rep(random.Random(seed), max_order=12, max_dim=10)
+        products = 0
+        matmul = Matrix.__matmul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        rep.powers()
+        for_powers, products = products, 0
+        verify_ker_im(rep)
+        assert products <= for_powers
+
     def test_explicit_membership_small(self):
         from fmlattice.lattice import kernel_basis, solve_rational
         rng = random.Random(33)
@@ -184,6 +203,30 @@ class TestConstruction:
     def test_rejects_shape(self):
         with pytest.raises(ValueError, match="^generator must be 3x3$"):
             CyclicRep(2, 3, Matrix.identity(2))
+
+    def test_rejects_bool_and_float_order_and_dim(self):
+        swap = Matrix([[0, 1], [1, 0]])
+        with pytest.raises(TypeError, match="bool"):
+            CyclicRep(True, 1, Matrix([[1]]))
+        with pytest.raises(TypeError, match="bool"):
+            CyclicRep(2, True, Matrix([[1]]))
+        with pytest.raises(TypeError, match="float"):
+            CyclicRep(2.0, 2, swap)
+        with pytest.raises(TypeError, match="float"):
+            CyclicRep(2, 2.0, swap)
+
+    @pytest.mark.parametrize("field", ["order", "dim"])
+    @pytest.mark.parametrize("value", [Fraction(3, 2), 0, -2])
+    def test_rejects_order_and_dim_that_are_not_positive_integers(self, field, value):
+        fields = {"order": 2, "dim": 2, "gen": Matrix([[0, 1], [1, 0]])}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer$"):
+            CyclicRep(**fields)
+
+    def test_whole_fraction_order_and_dim_become_ints(self):
+        rep = CyclicRep(Fraction(4, 2), Fraction(2), Matrix([[0, 1], [1, 0]]))
+        assert (rep.order, rep.dim) == (2, 2)
+        assert type(rep.order) is int and type(rep.dim) is int
 
     def test_powers_stop_at_the_true_order(self):
         swap = Matrix([[0, 1], [1, 0]])

@@ -707,13 +707,18 @@ def reference_orbit_sum(action, e, m):
 @SETTINGS
 @given(reps, st.integers(1, 4))
 def test_norm_and_ker_im_match_stated_order_loops(rep, multiple):
+    # reps draws integral and rational generators; verify_ker_im rests on
+    # N B = B N = 0 without multiplying N and B out, so the products are
+    # checked here with the Fraction loop
     for r in (rep, CyclicRep(rep.order * multiple, rep.dim, rep.gen)):
-        n_op = norm_operator(r)
+        n_op, b_op = norm_operator(r), difference_operator(r)
         assert n_op == reference_norm(r)
+        assert not any(map(any, reference_product(n_op.entries, b_op.entries)
+                           + reference_product(b_op.entries, n_op.entries)))
         report = verify_ker_im(r)
         assert report.dim_ker_norm == r.dim - len(reference_rref(n_op.entries)[1])
-        assert report.rank_difference == len(
-            reference_rref(difference_operator(r).entries)[1])
+        assert report.rank_difference == len(reference_rref(b_op.entries)[1])
+        assert (report.dim_ker_norm, report.rank_difference) == (r.dim - rank(n_op), rank(b_op))
 
 
 QUAD = NumericalSurface("quad", BilinearForm.from_rows([[0, 1], [1, 0]]), 0, 1)
