@@ -15,7 +15,7 @@ from fmlattice.descent import (
 )
 from fmlattice.surfaces import InvariantError, euler_pairing
 from fmlattice.transport import GActionLattice
-from fmlattice.lattice import Matrix
+from fmlattice.lattice import DimensionError, Matrix
 
 CATALOG = builtin_catalog()
 
@@ -145,6 +145,15 @@ cover odd_cover_2 {
             generator_set(t.base)
         with pytest.raises(InvariantError, match=message):
             freeness_gcd(t, t.cover.structure_class())
+        # a class of the wrong length is refused before the parity check
+        with pytest.raises(DimensionError, match="^class does not live on odd_cover$"):
+            freeness_gcd(t, ExtendedVector(1, (0, 0, 0), 0))
+
+    def test_class_of_the_wrong_length_is_refused(self):
+        for t in CATALOG.covers.values():
+            for dim in (t.cover.dim - 1, t.cover.dim + 1):
+                with pytest.raises(DimensionError, match=f"^class does not live on {t.cover.name}$"):
+                    freeness_gcd(t, ExtendedVector(1, (0,) * dim, 0))
 
     def test_non_integral_chi_is_refused(self):
         # a half-integral s is no integral class: chi(O, push e) = 1/2

@@ -718,7 +718,6 @@ def test_norm_and_ker_im_match_stated_order_loops(rep, multiple):
         report = verify_ker_im(r)
         assert report.dim_ker_norm == r.dim - len(reference_rref(n_op.entries)[1])
         assert report.rank_difference == len(reference_rref(b_op.entries)[1])
-        assert (report.dim_ker_norm, report.rank_difference) == (r.dim - rank(n_op), rank(b_op))
 
 
 QUAD = NumericalSurface("quad", BilinearForm.from_rows([[0, 1], [1, 0]]), 0, 1)
