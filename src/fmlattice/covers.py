@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import DimensionError, Matrix, block_diagonal
+from .lattice import DimensionError, Matrix, as_rational, block_diagonal
 from .surfaces import ExtendedVector, NumericalSurface, euler_pairing
 
 
@@ -55,8 +55,10 @@ class CoverTransfer:
     push_num: Matrix
 
     def __post_init__(self):
-        if self.degree < 1:
+        degree = as_rational(self.degree)  # bools and floats raise TypeError
+        if not isinstance(degree, int) or degree < 1:
             raise ValueError("cover degree must be a positive integer")
+        object.__setattr__(self, "degree", degree)
         if self.cover.canonical_order != 1:
             raise ValueError(
                 f"covering surface {self.cover.name} must have trivial canonical bundle")

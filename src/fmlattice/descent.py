@@ -90,11 +90,12 @@ def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVect
     the true order of g.  Raises InvariantError when the sum has a
     non-integral rank or divisor coordinate (possible when the action
     mixes s into r or c and s is half-integral)."""
-    if m < 1 or action.order % m:
+    m = as_rational(m)  # bools and floats raise TypeError
+    if not isinstance(m, int) or m < 1 or action.order % m:
         raise ValueError(f"{m} does not divide the action order {action.order}")
     coords = e.coords()
     if len(coords) != action.dim:
-        raise ValueError(f"class does not live on {action.surface.name}")
+        raise DimensionError(f"class does not live on {action.surface.name}")
     pows = action.powers()
     q, rest = divmod(m, len(pows))
     total = [0] * len(coords)
@@ -129,8 +130,8 @@ def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> Obs
     identity on the extended lattice -- so it equals m*e.  The sum must be
     the pullback of an integral class for the obstruction to apply.
     """
-    n = t.degree
-    if m < 1 or n % m:
+    n, m = t.degree, as_rational(m)  # bools and floats raise TypeError
+    if not isinstance(m, int) or m < 1 or n % m:
         raise ValueError(f"{m} does not divide the cover degree {n}")
     preimage = solve_rational(t.pull_extended, tuple([m * x for x in e.coords()]))
     cert = freeness_gcd(t, e)

@@ -190,3 +190,16 @@ class TestConstruction:
         cover = CATALOG.surfaces["k3_toy"]
         with pytest.raises(ValueError):
             CoverTransfer(base, cover, 2, Matrix([[Fraction(1, 2)]]), Matrix([[2]]))
+
+    def test_degree_is_exact_like_an_action_order(self):
+        # bools and floats are no degree; a whole Fraction is stored as the int
+        base, cover = ENR.base, ENR.cover
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError):
+                CoverTransfer(base, cover, bad, ENR.pull_num, ENR.push_num)
+        for bad in (Fraction(3, 2), 0, -2):
+            with pytest.raises(ValueError, match="cover degree must be a positive integer"):
+                CoverTransfer(base, cover, bad, ENR.pull_num, ENR.push_num)
+        t = CoverTransfer(base, cover, Fraction(4, 2), ENR.pull_num, ENR.push_num)
+        assert type(t.degree) is int and t == ENR
+        assert validate_cover(t).passed

@@ -219,6 +219,20 @@ class TestOrbitSum:
         with pytest.raises(ValueError):
             orbit_sum(action, ExtendedVector(0, (1, 0), 0), 3)
 
+    def test_length_is_exact(self):
+        action, f1 = CATALOG.actions["swap"], ExtendedVector(0, (1, 0), 0)
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError):
+                orbit_sum(action, f1, bad)
+        with pytest.raises(ValueError, match="does not divide the action order 2"):
+            orbit_sum(action, f1, Fraction(1, 2))
+        assert orbit_sum(action, f1, Fraction(4, 2)) == ExtendedVector(0, (1, 1), 0)
+
+    def test_class_of_the_wrong_length_is_a_dimension_error(self):
+        action = CATALOG.actions["swap"]
+        with pytest.raises(DimensionError, match=f"class does not live on {action.surface.name}"):
+            orbit_sum(action, ExtendedVector(0, (1, 0, 0), 0), 2)
+
 
 class TestDivisibilityObstruction:
     def test_poincare_orbit_obstruction(self):
@@ -247,6 +261,15 @@ class TestDivisibilityObstruction:
         t = CATALOG.covers["bielliptic_cover_2"]
         with pytest.raises(ValueError):
             divisibility_obstruction(t, CATALOG.vectors["poincare"].chern, 3)
+
+    def test_length_is_exact(self):
+        t, e = CATALOG.covers["bielliptic_cover_2"], CATALOG.vectors["poincare"].chern
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError):
+                divisibility_obstruction(t, e, bad)
+        with pytest.raises(ValueError, match="does not divide the cover degree 2"):
+            divisibility_obstruction(t, e, Fraction(1, 2))
+        assert divisibility_obstruction(t, e, Fraction(2, 2)) == divisibility_obstruction(t, e, 1)
 
     def test_applicable_obstruction_forces_not_free(self):
         rng = random.Random(14)
