@@ -13,12 +13,13 @@ descend_invariant returns the cyclic average t = (1/n) N s, such a
 representative, certified by one forward elimination.
 
 CyclicRep is the one cyclic-action type (transport.GActionLattice is a
-CyclicRep of an extended lattice).  Its stated order n is checked once,
-by the power g^n = 1; loops run to the true order t, the first k >= 1
-with g^k = 1, which divides n and, for finite order over Q, is bounded
-in terms of the dimension.  N is n/t times the sum S of powers(), and
-N B = B N = 0 is never multiplied out: it is the telescoping identity
-(1 - g) S = S (1 - g) = 1 - g^t with g^t = 1 (see verify_ker_im).
+CyclicRep of an extended lattice).  Its stated order n, at most
+MAX_ORDER, is checked once, by the power g^n = 1; loops run to the true
+order t, the first k >= 1 with g^k = 1, which divides n and, for finite
+order over Q, is bounded in terms of the dimension.  N is n/t times the
+sum S of powers(), and N B = B N = 0 is never multiplied out: it is the
+telescoping identity (1 - g) S = S (1 - g) = 1 - g^t with g^t = 1 (see
+verify_ker_im).
 
 Everything is done over the exact rationals.  The kernel/image identity
 for a matrix with rational entries is independent of the field extension,
@@ -40,6 +41,9 @@ from .lattice import DimensionError, Matrix, as_rational, block_diagonal, pivot_
 from .surfaces import InvariantError
 
 
+MAX_ORDER = 1000  # check_equivariant, for one, returns one exponent per element of the order
+
+
 @dataclass(frozen=True)
 class CyclicRep:
     """A rational representation of Z_order of the given dimension."""
@@ -55,6 +59,8 @@ class CyclicRep:
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
             object.__setattr__(self, name, value)
+        if self.order > MAX_ORDER:  # also bounds a hyperbolic generator's growth in the gate
+            raise ValueError(f"order must be at most {MAX_ORDER}")
         if not (self.gen.is_square and self.gen.nrows == self.dim):
             raise DimensionError(f"generator must be {self.dim}x{self.dim}{where}")
         if integral and not self.gen.is_integral:
@@ -79,8 +85,8 @@ def norm_operator(rep: CyclicRep) -> Matrix:
     t powers up to the true order t, added as integer rows over one
     common denominator taken from each power's cleared rows."""
     cleared = [p._ints() for p in rep.powers()]
-    d = lcm(*[dp for _, dp, _ in cleared])
-    scaled = [rows if dp == d else [[x * (d // dp) for x in row] for row in rows] for rows, dp, _ in cleared]
+    d = lcm(*[dp for _, dp, _, _ in cleared])
+    scaled = [rows if dp == d else [[x * (d // dp) for x in row] for row in rows] for rows, dp, _, _ in cleared]
     total = Matrix._trusted(tuple([tuple([sum(col) for col in zip(*rows)]) for rows in zip(*scaled)]), True)
     k = Fraction(rep.order // len(cleared), d)
     return total if k == 1 else total.scale(k)

@@ -22,7 +22,7 @@ import shlex
 import sys
 from typing import Callable, NamedTuple
 
-from .averaging import random_rep, verify_ker_im
+from .averaging import MAX_ORDER, random_rep, verify_ker_im
 from .catalog import EXAMPLE_IDS, Catalog, builtin_catalog, reproduce
 from .covers import chi_adjunction_check, pullback_ch, pushforward_ch, validate_cover
 from .defsio import DefsError, load_definitions, parse_matrix_text, parse_number_text
@@ -258,7 +258,7 @@ def _equivariant(ns, catalog):
 
 
 def _avg_verify(ns, catalog):
-    for flag, value, cap in (("--trials", ns.trials, 1000), ("--max-order", ns.max_order, 1000),
+    for flag, value, cap in (("--trials", ns.trials, 1000), ("--max-order", ns.max_order, MAX_ORDER),
                              ("--max-dim", ns.max_dim, 32)):
         if value < 1:
             raise DefsError(f"{flag} must be positive")

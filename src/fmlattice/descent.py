@@ -133,8 +133,8 @@ def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> Obs
     n, m = t.degree, as_rational(m)  # bools and floats raise TypeError
     if not isinstance(m, int) or m < 1 or n % m:
         raise ValueError(f"{m} does not divide the cover degree {n}")
+    cert = freeness_gcd(t, e)  # refuses a class of the wrong length first
     preimage = solve_rational(t.pull_extended, tuple([m * x for x in e.coords()]))
-    cert = freeness_gcd(t, e)
     if preimage is None or not t.base.is_integral_class(preimage[0], preimage[1:-1], preimage[-1]):
         reason = "a rational pullback" if preimage is None else "the pullback of an integral class"
         return ObstructionReport(False, f"orbit sum is not {reason}", None, None, cert.values)

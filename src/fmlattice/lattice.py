@@ -19,21 +19,22 @@ matrix as integer rows over one common denominator d (det divides by d^n
 at the end), and _divided divides ints exactly, to ints where it can and
 Fractions elsewhere, flagging whether all were ints.  Each matrix is
 cleared once: _ints caches its integer rows (tuples, so no elimination
-changes them in place), d and max |entry| for products, apply, scale, rref,
-rank and det.  Smith normal form and integer solving share one pass loop
-on [[m, R], [I, 0]]: row operations on its first nrows rows move m and R
-together, column operations on its first ncols m and V; a column pass is
-a row pass on the transpose.  R = I gives U, R = b gives U b alone.
+changes them in place), d, max |entry| and nonzero count for products,
+apply, scale, rref, rank and det.  Smith normal form and integer solving
+share one pass loop on [[m, R], [I, 0]]: row operations on its first
+nrows rows move m and R together, column operations on its first ncols m
+and V; a column pass is a row pass on the transpose.  R = I gives U,
+R = b gives U b alone.
 
-Products take one path for every operand, int or Fraction, at every
-size.  Each operand is cleared; each row of the right operand is packed
-into one Python int of w-bit slots (Kronecker substitution: D. Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44(10), 2009), so a row of the product is one sum of
-big-int multiples.  With k the inner dimension, every entry of the
-integer product lies in [-bias, bias] for bias = k max|A| max|B|, so
-after adding bias to every slot each slot holds a value in [0, 2 bias],
-and w = bit_length(2 bias) + 1 leaves no carry between slots.
+Products take one of two paths, chosen from the nonzero counts na, nb
+that _ints caches.  For A m x k and B k x p, the row-wise product over
+nonzeros (F. G. Gustavson, ACM TOMS 4(3), 1978) makes about na nb / k
+multiply-adds and runs when that is at most two per product entry, na nb
+<= 2 k m p, as on reflection words, permutations, Gram matrices and
+transfers; it was measured faster below about two and slower above 2.5.
+Denser operands take the packed path: each row of B is one Python int of
+w-bit slots (Kronecker substitution: D. Harvey, J. Symbolic Comput.
+44(10), 2009), and a row of the product one sum of big-int multiples.
 
 Tuples are built from lists, never straight from a generator, here and
 in the modules above.  tuple() over a generator allocates by resizing, and
@@ -117,10 +118,11 @@ class Matrix:
         return m
 
     def _ints(self) -> tuple:
-        """(rows, d, max |entry|) of _cleared, filled once; racing threads store equal values."""
+        """(rows, d, max |entry|, nonzero count) of _cleared, filled once;
+        racing threads store equal values.  Products read the last two."""
         if self._int is None:
             rows, d = _cleared(self._e, self._integral)
-            self._int = rows, d, _max_abs(rows)
+            self._int = (rows, d) + _sizes(rows)
         return self._int
 
     @classmethod
@@ -172,43 +174,22 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        a, da, ma = self._ints()
-        b, db, mb = other._ints()
-        # Kronecker substitution (Harvey, J. Symbolic Comput. 44(10), 2009):
-        # row k of b is packed as P_k = sum_j b[k][j] 2^(j w).  An entry of
-        # a b lies in [-bias, bias], bias = k max|a| max|b|, so each slot of
-        # bias_row + sum_k a[i][k] P_k holds entry + bias in [0, 2 bias],
-        # below 2^(w - 1) for w = bit_length(2 bias) + 1: no slot carries
-        # into the next, and mask and shift read the entries back.
-        bias = self.ncols * ma * mb
-        w = (2 * bias).bit_length() + 1
-        mask = (1 << w) - 1
-        shifts = range(0, other.ncols * w, w)
-        bias_row = bias * (((1 << (other.ncols * w)) - 1) // mask)  # bias in every slot
-        packed = []
-        for row in b:
-            p = 0
-            for x in reversed(row):
-                p = (p << w) + x
-            packed.append(p)
+        a, da, ma, na = self._ints()
+        b, db, mb, nb = other._ints()
+        if na * nb <= 2 * self.ncols * self.nrows * other.ncols:  # at most 2 multiply-adds an entry
+            product = _sparse_product(a, b, other.ncols)
+        else:
+            product = _packed_product(a, b, self.ncols * ma * mb, other.ncols)
         d = da * db
-        out, integral = [], True
-        for row in a:
-            acc = bias_row
-            for x, p in zip(row, packed):
-                if x:
-                    acc += x * p
-            entries = [((acc >> s) & mask) - bias for s in shifts]
-            if d != 1:
-                entries, ok = _divided(entries, d)
-                integral = integral and ok
-            out.append(tuple(entries))
-        return Matrix._trusted(tuple(out), integral)
+        if d == 1:
+            return Matrix._trusted(tuple([tuple(row) for row in product]), True)
+        out = [_divided(row, d) for row in product]
+        return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
 
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise DimensionError(f"vector of length {len(v)} against {self.nrows}x{self.ncols}")
-        rows, d, _ = self._ints()
+        rows, d, _, _ = self._ints()
         if not all(type(x) is int for x in v):
             v = vector(v)  # Fractions of denominator 1 become ints: most vectors need no clearing
             if not all(type(x) is int for x in v):
@@ -238,7 +219,7 @@ class Matrix:
 
     def scale(self, k) -> "Matrix":
         k = Fraction(as_rational(k))
-        rows, d, _ = self._ints()
+        rows, d, _, _ = self._ints()
         out = [_divided([k.numerator * x for x in row], d * k.denominator) for row in rows]
         return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
 
@@ -290,8 +271,50 @@ def _cleared(rows, integral: bool) -> tuple:
     return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows]), d
 
 
-def _max_abs(rows) -> int:
-    return max(map(abs, chain.from_iterable(rows)))
+def _sizes(rows) -> tuple:
+    """max |entry| and the number of nonzero entries of integer rows."""
+    nonzero = list(filter(None, chain.from_iterable(rows)))
+    return max(map(abs, nonzero), default=0), len(nonzero)
+
+
+def _sparse_product(a, b, p: int) -> list:
+    """Integer rows of a b: row i adds x y into p zeros over nonzero x = a[i][k], y = b[k][j]."""
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * p
+        for x, nz in zip(row, nonzeros):
+            if x:
+                for j, y in nz:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _packed_product(a, b, bias: int, p: int) -> list:
+    """Integer rows of a b, row k of b packed as P_k = sum_j b[k][j] 2^(j w).
+    An entry of a b lies in [-bias, bias], bias = k max|a| max|b|, so each
+    slot of bias_row + sum_k a[i][k] P_k holds entry + bias in [0, 2 bias],
+    below 2^(w - 1) for w = bit_length(2 bias) + 1: no slot carries into
+    the next, and mask and shift read the entries back."""
+    w = (2 * bias).bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = range(0, p * w, w)
+    bias_row = bias * (((1 << (p * w)) - 1) // mask)  # bias in every slot
+    packed = []
+    for row in b:
+        q = 0
+        for x in reversed(row):
+            q = (q << w) + x
+        packed.append(q)
+    out = []
+    for row in a:
+        acc = bias_row
+        for x, q in zip(row, packed):
+            if x:
+                acc += x * q
+        out.append([((acc >> s) & mask) - bias for s in shifts])
+    return out
 
 
 def _divided(values, d: int) -> tuple:
@@ -312,7 +335,7 @@ def det(m: Matrix):
     """Exact determinant: the signed last forward pivot of the rows cleared to d, over d^n."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    rows, d, _ = m._ints()
+    rows, d, _, _ = m._ints()
     a = list(rows)
     pivots, sign = _eliminate(a, False)
     value = sign * a[-1][-1] if len(pivots) == m.nrows else 0

@@ -6,6 +6,7 @@ import pytest
 
 from fmlattice import averaging
 from fmlattice.averaging import (
+    MAX_ORDER,
     CyclicRep,
     descend_invariant,
     difference_operator,
@@ -40,7 +41,7 @@ class TestOperators:
     def test_norm_stops_at_the_true_order(self):
         # the stated order is only known to be a multiple of the true one
         assert norm_operator(CyclicRep(12, 2, Matrix([[0, 1], [1, 0]]))) == Matrix([[6, 6], [6, 6]])
-        assert norm_operator(CyclicRep(10**9, 1, Matrix([[1]]))) == Matrix([[10**9]])
+        assert norm_operator(CyclicRep(MAX_ORDER, 1, Matrix([[1]]))) == Matrix([[MAX_ORDER]])
 
     def test_trivial_rep_difference(self):
         rep = CyclicRep(2, 2, Matrix.identity(2))
@@ -63,7 +64,7 @@ class TestKerIm:
             assert report.dim_ker_norm == 0 and report.rank_difference == 0
 
     def test_huge_stated_order_returns(self):
-        report = verify_ker_im(CyclicRep(10**9, 2, Matrix.identity(2)))
+        report = verify_ker_im(CyclicRep(MAX_ORDER, 2, Matrix.identity(2)))
         assert report.holds
         assert report.dim_ker_norm == 0 and report.rank_difference == 0
 
@@ -223,6 +224,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{field} must be a positive integer$"):
             CyclicRep(**fields)
 
+    def test_rejects_an_order_above_the_cap_before_the_power_gate(self):
+        # check_equivariant lists one exponent per element of the order
+        assert MAX_ORDER == 1000
+        with pytest.raises(ValueError, match="^order must be at most 1000$"):
+            CyclicRep(1001, 1, Matrix([[1]]))
+        with pytest.raises(ValueError, match="^order must be at most 1000$"):
+            CyclicRep(10**9, 2, Matrix([[1, 1], [0, 1]]))  # no power of it is taken
+
     def test_whole_fraction_order_and_dim_become_ints(self):
         rep = CyclicRep(Fraction(4, 2), Fraction(2), Matrix([[0, 1], [1, 0]]))
         assert (rep.order, rep.dim) == (2, 2)
@@ -231,7 +240,7 @@ class TestConstruction:
     def test_powers_stop_at_the_true_order(self):
         swap = Matrix([[0, 1], [1, 0]])
         assert CyclicRep(12, 2, swap).powers() == [Matrix.identity(2), swap]
-        assert CyclicRep(10**9, 2, Matrix.identity(2)).powers() == [Matrix.identity(2)]
+        assert CyclicRep(MAX_ORDER, 2, Matrix.identity(2)).powers() == [Matrix.identity(2)]
         assert len(regular_rep(6).powers()) == 6
 
     def test_cyclotomic_polynomials(self):
@@ -244,11 +253,11 @@ class TestConstruction:
 
     def test_random_rep_is_quick_for_any_max_order(self):
         # only divisors up to 2 max_dim^2 can give a block, so the order's
-        # size does not matter
+        # size does not matter up to the largest order a CyclicRep takes
         rng = random.Random(3)
         start = time.perf_counter()
         for _ in range(20):
-            rep = random_rep(rng, max_order=10**18, max_dim=8)
+            rep = random_rep(rng, max_order=MAX_ORDER, max_dim=8)
             assert 1 <= rep.dim <= 8
         assert time.perf_counter() - start < 5
 

@@ -259,6 +259,17 @@ surface my_k3 {
                         "--defs", str(defs))
         assert (code, out) == (0, "2\n")
 
+    def test_action_order_above_the_cap_is_an_input_error(self, tmp_path):
+        # equivariant prints one exponent per element of the stated order
+        defs = tmp_path / "big.defs"
+        identity = "[1,0,0;0,1,0;0,0,1]"
+        for order, expected in ((1000, 0), (1001, 2)):
+            defs.write_text(surface_defs("my_k3") + f"action big {{ on my_k3\n  order {order}\n  gen {identity} }}\n")
+            code, out = run("equivariant", "--action-y", "big", "--action-x", "big", "--mat", identity,
+                            "--defs", str(defs))
+            assert code == expected
+        assert out == "error: action 'big': order must be at most 1000\n"
+
     def test_byte_identical_output(self):
         args = ("free", "--cover", "bielliptic_cover_6", "--vector", "v_4_2l_1",
                 "--records")

@@ -97,8 +97,13 @@ class TestMatrixBasics:
         reduced = rref(Matrix([[2, 1], [4, 2]]))[0]
         assert reduced == Matrix([[1, Fraction(1, 2)], [0, 0]]) and not reduced.is_integral
 
-    def test_products_at_the_slot_bound(self):
-        # entries of +-k M^2 = +-bias fill a packed slot from end to end
+    def test_products_at_the_slot_bound(self, monkeypatch):
+        # entries of +-k M^2 = +-bias fill a packed slot from end to end;
+        # at k = 5, na nb = 4 k^2 > 2 k * 2 * 3 takes the packed path (k = 1
+        # and 2 the sparse one)
+        packed = []
+        monkeypatch.setattr(lattice, "_packed_product",
+                            lambda *args, f=lattice._packed_product: packed.append(1) or f(*args))
         for m in (1, 7, 2**64, 2**200 + 1):
             for k in (1, 2, 5):
                 a = Matrix([[m] * k, [-m] * k])
@@ -108,6 +113,7 @@ class TestMatrixBasics:
                 half = b.scale(Fraction(1, 2))
                 assert a @ half == Matrix([[Fraction(k * m * m, 2), Fraction(-k * m * m, 2), 0],
                                            [Fraction(-k * m * m, 2), Fraction(k * m * m, 2), 0]])
+        assert len(packed) == 4 * 2  # the two k = 5 products for each m
 
     def test_apply_returns_ints_where_the_value_is_whole(self):
         # the sum of Fractions 1/2 + 1/2 is the int 1, never Fraction(1, 1)

@@ -198,7 +198,8 @@ PRODUCT_ENTRIES["mixed"] = st.one_of(PRODUCT_ENTRIES["int"], PRODUCT_ENTRIES["fr
 def operand(draw, nrows, ncols):
     """Rows of int, Fraction or mixed entries, or of one magnitude with
     drawn signs, where product entries reach the bound k max|A| max|B|;
-    some rows zero, or all of them."""
+    a drawn share of the entries zero, so that products take the sparse
+    path as well as the packed one; some rows zero, or all of them."""
     kind = draw(st.sampled_from(sorted(PRODUCT_ENTRIES) + ["extreme"]))
     if kind == "extreme":
         magnitude = draw(st.one_of(st.integers(1, 9), WIDE.map(abs)))
@@ -207,6 +208,8 @@ def operand(draw, nrows, ncols):
         entry = PRODUCT_ENTRIES[kind]
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
+    share = draw(st.integers(0, 10))  # tenths of the entries made zero
+    rows = [[x if draw(st.integers(1, 10)) > share else 0 for x in row] for row in rows]
     zero_rows = range(nrows) if draw(st.integers(0, 9)) == 0 else draw(st.sets(st.integers(0, nrows - 1)))
     for i in zero_rows:
         rows[i] = [0] * ncols
@@ -223,8 +226,18 @@ def product_operands(draw):
     return draw(operand(n, k)), draw(operand(k, m))
 
 
+# a 20 x 20 signed permutation times a dense 20 x 20: na nb = 20 * 400 is
+# within 2 k m p = 16000, the sparse path; two dense 8 x 8 of entries near
+# 2^70: 64 * 64 > 2 * 8^3, the packed path
+SIGNED_PERMUTATION = [[(-1) ** i if j == (7 * i + 3) % 20 else 0 for j in range(20)] for i in range(20)]
+DENSE = [[(-1) ** j * ((7 * i + 3 * j) % 9 + 1) for j in range(20)] for i in range(20)]
+WIDE_DENSE = [[(-1) ** (i + j) * (2**70 - 8 * i - j) for j in range(8)] for i in range(8)]
+
+
 @SETTINGS
 @given(product_operands())
+@example((SIGNED_PERMUTATION, DENSE))
+@example((WIDE_DENSE, [row[::-1] for row in WIDE_DENSE]))
 def test_product_matches_reference_triple_loop(operands):
     a_rows, b_rows = operands
     product = Matrix(a_rows) @ Matrix(b_rows)
