@@ -18,8 +18,8 @@ MAX_ORDER, is checked once, by the power g^n = 1; loops run to the true
 order t, the first k >= 1 with g^k = 1, which divides n and, for finite
 order over Q, is bounded in terms of the dimension.  N is n/t times the
 sum S of powers(), and N B = B N = 0 is never multiplied out: it is the
-telescoping identity (1 - g) S = S (1 - g) = 1 - g^t with g^t = 1 (see
-verify_ker_im).
+telescoping identity (1 - g) S = S (1 - g) = 1 - g^t with g^t = 1, and
+rank N is tr(S)/t, the rank of the idempotent S/t (see verify_ker_im).
 
 Everything is done over the exact rationals.  The kernel/image identity
 for a matrix with rational entries is independent of the field extension,
@@ -111,9 +111,12 @@ def verify_ker_im(rep: CyclicRep) -> KerImReport:
     powers, (1 - g) S = S (1 - g) = 1 - g^t telescopes for any square g,
     and g^t = 1, compared exactly by powers() when t < n and by the
     CyclicRep gate when t = n; N = (n/t) S.  So im B lies in ker N, and
-    they are equal exactly when dim ker N = rank B.
+    they are equal exactly when dim ker N = rank B.  And g S = S + g^t - 1
+    = S, so S^2 = t S: S/t is idempotent, and rank N = rank(S/t) = tr(S)/t
+    exactly (an idempotent's rank is its trace), with no elimination on N.
     """
-    dim_ker = rep.dim - rank(norm_operator(rep))
+    powers = rep.powers()
+    dim_ker = rep.dim - sum([row[i] for p in powers for i, row in enumerate(p.entries)]) // len(powers)
     rank_b = rank(difference_operator(rep))
     return KerImReport(dim_ker == rank_b, dim_ker, rank_b)
 
@@ -212,8 +215,11 @@ def random_rep(rng: random.Random, max_order: int = 12, max_dim: int = 20) -> Cy
     Block-diagonal pieces (trivial lines, permutation cycles, cyclotomic
     companion blocks) are conjugated by a random integer change of basis:
     unimodular most of the time, giving integer matrices, and merely
-    invertible otherwise, giving genuinely rational ones.
+    invertible otherwise, giving genuinely rational ones.  Raises
+    ValueError unless 1 <= max_order <= MAX_ORDER and max_dim >= 1.
     """
+    if not (1 <= max_order <= MAX_ORDER and max_dim >= 1):
+        raise ValueError(f"random_rep needs 1 <= max_order <= {MAX_ORDER} and max_dim >= 1")
     order = rng.randint(1, max_order)
     dim = rng.randint(1, max_dim)
     # Euler's phi of each divisor k of order, from sum(phi(d) for d | k) = k.

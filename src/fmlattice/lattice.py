@@ -2,8 +2,9 @@
 
 Everything in this package runs on arbitrary-precision exact arithmetic:
 matrix entries are Python ints or ``fractions.Fraction``, never floats.
-Matrices are immutable values (their one cache, _ints, can only be filled
-with one value), so all of this is safe in concurrent code without locks.
+Matrices are immutable values, safe in concurrent code without locks: of
+their two caches, _ints is filled with one value, and _packed (below) is one
+tuple replaced whole, which a product reads once and checks before use.
 
 The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool: one
@@ -35,6 +36,8 @@ transfers; it was measured faster below about two and slower above 2.5.
 Denser operands take the packed path: each row of B is one Python int of
 w-bit slots (Kronecker substitution: D. Harvey, J. Symbolic Comput.
 44(10), 2009), and a row of the product one sum of big-int multiples.
+B keeps its packed rows, packed again only for a wider product, so the
+t - 1 products g^j g of CyclicRep.powers() pack g once.
 
 Tuples are built from lists, never straight from a generator, here and
 in the modules above.  tuple() over a generator allocates by resizing, and
@@ -87,7 +90,7 @@ def dot(u, v):
 class Matrix:
     """An immutable matrix with exact (int / Fraction) entries."""
 
-    __slots__ = ("nrows", "ncols", "_e", "_integral", "_int")
+    __slots__ = ("nrows", "ncols", "_e", "_integral", "_int", "_packed")
 
     def __init__(self, rows):
         data = tuple([tuple([_exact(x) for x in row]) for row in rows])
@@ -100,7 +103,7 @@ class Matrix:
         self.ncols = width
         self._e = data
         self._integral = all(isinstance(x, int) for row in data for x in row)
-        self._int = None
+        self._int = self._packed = None
 
     @classmethod
     def _trusted(cls, rows, integral: bool) -> "Matrix":
@@ -114,7 +117,7 @@ class Matrix:
         m.ncols = len(rows[0])
         m._e = rows
         m._integral = integral
-        m._int = None
+        m._int = m._packed = None
         return m
 
     def _ints(self) -> tuple:
@@ -172,6 +175,8 @@ class Matrix:
         return self.nrows == self.ncols
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         a, da, ma, na = self._ints()
@@ -179,7 +184,10 @@ class Matrix:
         if na * nb <= 2 * self.ncols * self.nrows * other.ncols:  # at most 2 multiply-adds an entry
             product = _sparse_product(a, b, other.ncols)
         else:
-            product = _packed_product(a, b, self.ncols * ma * mb, other.ncols)
+            packing, bias = other._packed, self.ncols * ma * mb  # read once: see the module docstring
+            if packing is None or packing[0] < bias:
+                packing = other._packed = _packing(b, bias)
+            product = _packed_product(a, packing, other.ncols)
         d = da * db
         if d == 1:
             return Matrix._trusted(tuple([tuple(row) for row in product]), True)
@@ -227,6 +235,8 @@ class Matrix:
         return self.scale(k)
 
     def power(self, n: int) -> "Matrix":
+        if not isinstance(n := as_rational(n), int):  # bools and floats raise TypeError
+            raise ValueError("exponent must be an integer")
         if not self.is_square:
             raise DimensionError("power of a non-square matrix")
         if n < 0:
@@ -291,22 +301,26 @@ def _sparse_product(a, b, p: int) -> list:
     return out
 
 
-def _packed_product(a, b, bias: int, p: int) -> list:
-    """Integer rows of a b, row k of b packed as P_k = sum_j b[k][j] 2^(j w).
-    An entry of a b lies in [-bias, bias], bias = k max|a| max|b|, so each
-    slot of bias_row + sum_k a[i][k] P_k holds entry + bias in [0, 2 bias],
-    below 2^(w - 1) for w = bit_length(2 bias) + 1: no slot carries into
-    the next, and mask and shift read the entries back."""
+def _packing(b, bias: int) -> tuple:
+    """(cap, w, P): row k of b as P_k = sum_j b[k][j] 2^(j w), for any product bias up to cap."""
     w = (2 * bias).bit_length() + 1
-    mask = (1 << w) - 1
-    shifts = range(0, p * w, w)
-    bias_row = bias * (((1 << (p * w)) - 1) // mask)  # bias in every slot
     packed = []
     for row in b:
         q = 0
         for x in reversed(row):
             q = (q << w) + x
         packed.append(q)
+    return (1 << (w - 2)) - 1, w, packed
+
+
+def _packed_product(a, packing, p: int) -> list:
+    """Integer rows of a b from a packing (bias, w, P) of b, k max|a| max|b|
+    <= bias: each slot of bias_row + sum_k a[i][k] P_k holds entry + bias in
+    [0, 2 bias], below 2^(w - 1), so it carries into no other slot."""
+    bias, w, packed = packing
+    mask = (1 << w) - 1
+    shifts = range(0, p * w, w)
+    bias_row = bias * (((1 << (p * w)) - 1) // mask)  # bias in every slot
     out = []
     for row in a:
         acc = bias_row

@@ -114,6 +114,19 @@ class TestKerIm:
         verify_ker_im(rep)
         assert products <= for_powers
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_takes_rank_n_from_the_trace(self, monkeypatch, seed):
+        # dim ker N = dim - tr(S)/t: N is not formed, and the one
+        # elimination is the rank of B
+        calls = {"norm_operator": 0, "rank": 0}
+        for name in calls:
+            monkeypatch.setattr(averaging, name, lambda *args, name=name, f=getattr(averaging, name):
+                                calls.__setitem__(name, calls[name] + 1) or f(*args))
+        rep = random_rep(random.Random(seed), max_order=12, max_dim=10)
+        report = verify_ker_im(rep)
+        assert calls == {"norm_operator": 0, "rank": 1}
+        assert report.dim_ker_norm == rep.dim - rank(norm_operator(rep))
+
     def test_explicit_membership_small(self):
         from fmlattice.lattice import kernel_basis, solve_rational
         rng = random.Random(33)
@@ -260,6 +273,19 @@ class TestConstruction:
             rep = random_rep(rng, max_order=MAX_ORDER, max_dim=8)
             assert 1 <= rep.dim <= 8
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("max_order, max_dim", [(10**6, 4), (MAX_ORDER + 1, 4), (0, 4), (-3, 4),
+                                                    (12, 0), (12, -1)])
+    def test_random_rep_checks_its_bounds_before_it_draws(self, max_order, max_dim):
+        # an order above the cap used to be refused only on seeds that drew
+        # above it, and max_order = 0 raised randrange's "empty range"
+        for seed in range(6):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=f"random_rep needs 1 <= max_order <= {MAX_ORDER} and max_dim >= 1"):
+                random_rep(rng, max_order=max_order, max_dim=max_dim)
+            assert rng.getstate() == state
+        assert random_rep(random.Random(0), max_order=MAX_ORDER, max_dim=1).dim == 1
 
     def test_one_fill_pass_builds_one_block(self, monkeypatch):
         # the candidates are (builder, argument) pairs: only the drawn one is built

@@ -145,6 +145,23 @@ class TestMatrixBasics:
         assert s.power(2) == Matrix.identity(2)
         assert s.power(5) == s
 
+    def test_power_takes_an_exact_integer_exponent(self):
+        # the exponent goes through as_rational, as CyclicRep's order does
+        s = Matrix([[0, 1], [1, 0]])
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError, match="exact number expected"):
+                s.power(bad)
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            s.power(Fraction(1, 2))
+        assert s.power(Fraction(6, 2)) == s
+
+    def test_product_with_a_non_matrix_is_not_implemented(self):
+        # this used to raise AttributeError from other.nrows
+        m = Matrix([[1]])
+        assert m.__matmul__(3) is NotImplemented
+        with pytest.raises(TypeError):
+            m @ 3
+
     def test_trusted_constructors_reject_empty_shapes(self):
         for build in (lambda: Matrix.identity(0), lambda: Matrix.zero(0, 3),
                       lambda: Matrix.zero(3, 0), lambda: Matrix.diagonal([])):

@@ -13,6 +13,8 @@ same two.
 
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -228,16 +230,24 @@ def product_operands(draw):
 
 # a 20 x 20 signed permutation times a dense 20 x 20: na nb = 20 * 400 is
 # within 2 k m p = 16000, the sparse path; two dense 8 x 8 of entries near
-# 2^70: 64 * 64 > 2 * 8^3, the packed path
+# 2^70: 64 * 64 > 2 * 8^3, the packed path; dense operands of one
+# magnitude and one sign, whose product entries are all +bias or all -bias
+# for bias = k max|A| max|B|, the ends of a packed slot's range (bias = 3
+# fills the slots of the width it needs)
 SIGNED_PERMUTATION = [[(-1) ** i if j == (7 * i + 3) % 20 else 0 for j in range(20)] for i in range(20)]
 DENSE = [[(-1) ** j * ((7 * i + 3 * j) % 9 + 1) for j in range(20)] for i in range(20)]
 WIDE_DENSE = [[(-1) ** (i + j) * (2**70 - 8 * i - j) for j in range(8)] for i in range(8)]
+SAME_SIGN = [[3**40] * 5] * 3
 
 
 @SETTINGS
 @given(product_operands())
 @example((SIGNED_PERMUTATION, DENSE))
 @example((WIDE_DENSE, [row[::-1] for row in WIDE_DENSE]))
+@example((SAME_SIGN, [[3**40] * 4] * 5))
+@example((SAME_SIGN, [[-3**40] * 4] * 5))
+@example(([[1] * 3] * 3, [[1] * 3] * 3))
+@example(([[-7] * 6] * 4, [[Fraction(7, 2)] * 3] * 6))
 def test_product_matches_reference_triple_loop(operands):
     a_rows, b_rows = operands
     product = Matrix(a_rows) @ Matrix(b_rows)
@@ -258,6 +268,59 @@ def test_apply_matches_reference_loop(operands):
         image = a.apply(column)
         assert list(image) == [row[j] for row in expected]
         assert normalised(image)
+
+
+# A right operand of the packed path keeps its packed rows, with the
+# largest bias k max|A| max|B| they serve; a wider product packs again.
+SIGNS = [[(-1) ** j * 13 for j in range(4)]] * 4  # dense: 16 * 16 > 2 * 4^3
+
+
+def test_packed_rows_widen_for_a_product_at_a_wider_slot_bound():
+    b = Matrix(SIGNS)
+    for a_rows in ([[1] * 4] * 4, [[2**70] * 4] * 4, [[-(3**90)] * 4, [3**90] * 4]):
+        bias = 4 * abs(a_rows[0][0]) * 13
+        assert [list(row) for row in (Matrix(a_rows) @ b).entries] == reference_product(a_rows, SIGNS)
+        assert bias <= b._packed[0] < 2 * bias  # every entry is +-bias, the slot bound
+
+
+def test_wide_packed_rows_serve_a_narrower_product():
+    b = Matrix(SIGNS)
+    Matrix([[2**100] * 4] * 4) @ b
+    packing = b._packed
+    for a_rows in ([[1, -1, 1, 0]] * 4, [[Fraction(-5, 3)] * 4] * 2, [[2**99, -(2**99), 1, 2]] * 3):
+        assert [list(row) for row in (Matrix(a_rows) @ b).entries] == reference_product(a_rows, SIGNS)
+        assert b._packed is packing
+
+
+def test_threads_share_a_right_operand_packed_at_different_widths():
+    rng = random.Random(19)
+    b_rows = [[rng.choice([-1, 1]) * rng.randint(1, 99) for _ in range(6)] for _ in range(6)]
+    a_rows = [[[rng.choice([-1, 1]) * rng.randint(1, 10 ** (4 * t + 1)) for _ in range(6)]
+               for _ in range(t % 3 + 2)] for t in range(8)]
+    expected = [reference_product(rows, b_rows) for rows in a_rows]
+    for _ in range(10):
+        b = Matrix(b_rows)  # fresh: nothing packed yet
+        barrier = threading.Barrier(8)
+        agree = []
+
+        def work(t):
+            barrier.wait(timeout=10)
+            for k in range(8):  # each thread walks the widths in its own order
+                u = (t + k) % 8
+                agree.append([list(row) for row in (Matrix(a_rows[u]) @ b).entries] == expected[u])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert agree == [True] * 64
 
 
 # Scalars as scale accepts them: ints, Fractions, 'p/q' strings, and zero
