@@ -75,6 +75,8 @@ def _load_catalog(ns) -> Catalog:
                 text = fh.read()
         except OSError as exc:
             raise DefsError(f"cannot read {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise DefsError(f"cannot read {path}: {exc}") from None
         texts += (text,)
         cat = _catalog_for(texts, ns.allow_invalid)
     return cat

@@ -25,7 +25,9 @@ apply, scale, rref, rank and det.  Smith normal form and integer solving
 share one pass loop on [[m, R], [I, 0]]: row operations on its first
 nrows rows move m and R together, column operations on its first ncols m
 and V; a column pass is a row pass on the transpose.  R = I gives U,
-R = b gives U b alone.
+R = b gives U b alone.  A pass rewrites rows from the pivot column on,
+scans once per Euclid step, and leaves echelon form, so the test that m
+is diagonal reads one slice per row (_hnf, _smith).
 
 Products take one of two paths, chosen from the nonzero counts na, nb
 that _ints caches.  For A m x k and B k x p, the row-wise product over
@@ -213,6 +215,8 @@ class Matrix:
         return self._entrywise(other, sub, "subtraction")
 
     def _entrywise(self, other, op, name: str) -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError(f"shape mismatch in {name}")
         rows = [list(map(op, r1, r2)) for r1, r2 in zip(self._e, other._e)]
@@ -469,26 +473,41 @@ def solve_rational(m: Matrix, b) -> tuple | None:
 
 def _hnf(a, nrows: int, ncols: int) -> None:
     """Row Hermite normal form, in place, of the first nrows rows and ncols
-    columns of a, each row operation on whole rows.  Per column, Euclid:
-    the row with the smallest nonzero entry is the pivot row, and the rows
-    below are reduced modulo it until it is alone; then it is made
-    positive and the entries above it are reduced into [0, p)."""
+    columns of a.  Per column c, Euclid: the first row with the smallest
+    nonzero entry is the pivot row, and the rows below are reduced modulo
+    it until it is alone; then it is made positive and the entries above
+    it are reduced into [0, p).  The pivot row is zero left of c, so a row
+    operation rewrites a row from c on; reducing the rows below also finds
+    the next pivot and counts the live rows, one scan per Euclid step."""
     r = 0
     for c in range(ncols):
-        while live := [i for i in range(r, nrows) if a[i][c]]:
-            piv = min(live, key=lambda i: abs(a[i][c]))
+        piv, count, least = r, 0, 0
+        for i in range(r, nrows):
+            if x := abs(a[i][c]):
+                count += 1
+                if count == 1 or x < least:
+                    piv, least = i, x
+        while count:
             a[r], a[piv] = a[piv], a[r]
-            alone = len(live) == 1
-            if alone and a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            prow, p = a[r], a[r][c]
-            for i in range(r) if alone else range(r + 1, nrows):
-                q = a[i][c] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], prow)]
-            if alone:
+            tail = a[r][c:]
+            if count == 1 and tail[0] < 0:
+                a[r][c:] = tail = [-x for x in tail]
+            p = tail[0]
+            if count == 1:
+                for row in a[:r]:
+                    if q := row[c] // p:
+                        row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
                 r += 1
                 break
+            piv, count, least = r, 1, abs(p)
+            for i in range(r + 1, nrows):
+                row = a[i]
+                if q := row[c] // p:
+                    row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+                if x := abs(row[c]):
+                    count += 1
+                    if x < least:
+                        piv, least = i, x
 
 
 def smith_normal_form(m: Matrix) -> tuple:
@@ -498,6 +517,8 @@ def smith_normal_form(m: Matrix) -> tuple:
     each diagonal entry divides the next.  Total on all integer matrices.
     The passes of _smith run on [[m, I], [I, 0]] and leave [[D, U], [V, 0]].
     """
+    if not isinstance(m, Matrix):
+        raise TypeError(f"smith_normal_form needs a Matrix, got {type(m).__name__}")
     nrows, ncols = m.nrows, m.ncols
     a = _smith(m, [[int(i == j) for j in range(nrows)] for i in range(nrows)])
     top, bottom = a[:nrows], a[nrows:]
@@ -519,18 +540,22 @@ def _smith(m: Matrix, right) -> list:
     leaves the diagonal positive, zeros last; a 2x2 gcd/lcm step on each
     pair of diagonal entries then makes each divide the next.  Every
     choice reads the m-block alone, so D and V do not depend on right.
+    The column pass leaves the transposed m-block in echelon form, zero
+    left of its diagonal and past row min(nrows, ncols), so m is diagonal
+    exactly when those first rows are zero right of the diagonal.
     """
     if not m.is_integral:
         raise ValueError("Smith normal form needs an integer matrix")
     nrows, ncols = m.nrows, m.ncols
     a = [list(row) + list(r) for row, r in zip(m.entries, right)]
     a += [[int(i == j) for j in range(ncols)] + [0] * len(right[0]) for i in range(ncols)]
-    while True:
-        for shape in ((nrows, ncols), (ncols, nrows)):  # a row pass, then a column pass
-            _hnf(a, *shape)
-            a = [list(col) for col in zip(*a)]
-        if not any(a[i][j] for i in range(nrows) for j in range(ncols) if i != j):
-            break
+    diagonal = False
+    while not diagonal:
+        _hnf(a, nrows, ncols)  # a row pass, then a column pass on the transpose
+        a = [list(col) for col in zip(*a)]
+        _hnf(a, ncols, nrows)
+        diagonal = not any([any(row[i + 1:nrows]) for i, row in enumerate(a[:min(nrows, ncols)])])
+        a = [list(col) for col in zip(*a)]
     for i, j in combinations(range(min(nrows, ncols)), 2):
         x, y = a[i][i], a[j][j]
         if x and y % x:  # rows [[s, t], [-y/g, x/g]], columns [[1, -t y/g], [1, s x/g]]
@@ -549,6 +574,8 @@ def _smith(m: Matrix, right) -> list:
 def solve_integer(m: Matrix, b) -> tuple | None:
     """An integer solution of m x = b, or None when none exists: V D^-1 U b,
     from the passes of _smith on [[m, b], [I, 0]], which carry U b, not U."""
+    if not isinstance(m, Matrix):
+        raise TypeError(f"solve_integer needs a Matrix, got {type(m).__name__}")
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length mismatch")
     if not m.is_integral or not all(isinstance(_exact(x), int) for x in b):
@@ -576,6 +603,7 @@ class BilinearForm:
     gram: Matrix
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_rational(self.dim))  # bools and floats raise TypeError
         g = self.gram
         if not (g.is_square and g.nrows == self.dim and self.dim >= 1):
             raise DimensionError("Gram matrix does not match the stated dimension")

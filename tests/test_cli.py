@@ -245,6 +245,13 @@ class TestErrorsAndDeterminism:
                         "--defs", "/nonexistent/file.defs")
         assert code == 2
 
+    def test_defs_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        bad = tmp_path / "bad.defs"
+        bad.write_bytes(b"\xff\xfe")
+        code, out = run("free", "--cover", "bielliptic_cover_2", "--e", "1,0,0;0", "--defs", str(bad))
+        assert (code, out) == (2, f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+                                  " in position 0: invalid start byte\n")
+
     def test_defs_extend_catalog(self, tmp_path):
         defs = tmp_path / "extra.defs"
         defs.write_text("""

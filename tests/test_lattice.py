@@ -162,6 +162,15 @@ class TestMatrixBasics:
         with pytest.raises(TypeError):
             m @ 3
 
+    def test_sum_and_difference_with_a_non_matrix_are_not_implemented(self):
+        # these used to raise AttributeError from other.nrows
+        m = Matrix([[1]])
+        assert m.__add__(3) is NotImplemented and m.__sub__(3) is NotImplemented
+        with pytest.raises(TypeError):
+            m + 3
+        with pytest.raises(TypeError):
+            m - 3
+
     def test_trusted_constructors_reject_empty_shapes(self):
         for build in (lambda: Matrix.identity(0), lambda: Matrix.zero(0, 3),
                       lambda: Matrix.zero(3, 0), lambda: Matrix.diagonal([])):
@@ -278,6 +287,67 @@ class TestKernelAndSolve:
             assert rank(m) == len(rref(m)[1])
 
 
+# Three inputs, each with the U, D and V that smith_normal_form gives it and
+# solve_integer's answers for a consistent right-hand side and for the same
+# one with its first entry raised by 1.  Every pivot choice and every row
+# operation of the Hermite passes shows in these entries, so a rewrite of
+# _hnf or _smith has to leave them as they are.  The inputs: a square with
+# D = diag(2, 6, 12), then dense 9x7 and 7x9 draws of random_int_matrix
+# from one random.Random(20).
+PINNED_SNF = [([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [[1, 0, 0], [-1, 3, 2], [3, -4, -3]],
+  [[2, 0, 0], [0, 6, 0], [0, 0, 12]], [[1, -2, -2], [0, 1, 0], [0, 0, 1]],
+  [([2, -30, 34], (5, -4, 2)), ([3, -30, 34], None)]),
+ ([[-5, -1, -6, 1, 9, -4, -9], [4, 4, -7, -6, -5, 1, 6], [9, 5, 4, -3, -3, 1, 1],
+   [1, 4, -7, 7, 6, 3, -7], [-3, 9, -2, -8, -3, -6, -7], [-3, -1, 0, 0, -1, -4, -6],
+   [-9, -1, -2, -2, 9, -2, -8], [-9, 0, -1, -5, 1, 5, -5], [-1, 8, 4, -4, -4, 3, -6]],
+  [[-356049596313063233, 35879674095457568, 101518328234020527, 142067708410013112,
+    30224800270456436, 194739921180198005, 269302597256164755, 5978692471527488,
+    -172926431437849219],
+   [81124894729265105, -8175082387553159, -23130664312941774, -32369726039673623, -6886635360759936,
+    -44370940927673562, -61359836042376902, -1362228190661544, 39400798909958758],
+   [-8700183298989465, 876731063792620, 2480632116954744, 3471468910043959, 738552452386728,
+    4758530910982307, 6580493232640714, 146091221361312, -4225511463370879],
+   [-4200814279829349, 423322618131252, 1197753479644178, 1676171141243670, 356604175080945,
+    2297618787432405, 3177338797357099, 70538983807800, -2040254588311116],
+   [9082184242030, -915225895643, -2589549800117, -3623891491477, -770980244262, -4967464818811,
+    -6869424457898, -152505682116, 4411041964093],
+   [-19615413275, 1976675842, 5592827471, 7826765828, 1665138662, 10728572858, 14836364922,
+    329376932, -9526828436],
+   [-381378, 38432, 108740, 152174, 32375, 208593, 288460, 6404, -185228],
+   [98828, -9964, -28176, -39432, -8384, -54057, -74755, -1654, 47992],
+   [-804860, 81107, 229485, 321148, 68324, 440215, 608766, 13515, -390905]],
+  [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0],
+   [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0],
+   [0, 0, 0, 0, 0, 0, 0]],
+  [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0],
+   [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1]],
+  [([51, 1, -28, 9, -45, -8, 36, -10, -75], (2, -5, -3, -2, 5, -1, 1)),
+   ([52, 1, -28, 9, -45, -8, 36, -10, -75], None)]),
+ ([[-5, 9, 4, 2, -2, -6, -8, 7, -3], [4, -4, -4, -7, -6, 0, -9, 1, 3],
+   [5, 7, -8, -4, -6, 5, 8, 1, -9], [-7, 9, -6, -7, 1, -1, -7, 0, -8],
+   [-9, -3, -2, 7, 7, -9, -4, -9, 7], [-5, 0, -5, 4, -1, -6, 3, -6, -3],
+   [-2, -3, -2, -6, 0, -5, 8, 3, -5]],
+  [[-73488, -278254, -4675, -43206, -226030, 219134, 236045],
+   [-84049, -318242, -5347, -49415, -258513, 250626, 269967],
+   [-32662, -123671, -2078, -19203, -100460, 97395, 104911],
+   [-100568, -380789, -6398, -59127, -309321, 299884, 323026],
+   [-39440, -149335, -2509, -23188, -121307, 117606, 126682],
+   [-90113, -341202, -5733, -52980, -277164, 268708, 289444],
+   [-101228, -383288, -6440, -59515, -311351, 301852, 325146]],
+  [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0],
+   [0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0],
+   [0, 0, 0, 0, 0, 0, 3, 0, 0]],
+  [[1, 0, 0, 0, 0, 0, 432, -1274, -256], [0, 1, 0, 0, 0, 0, 5470, -16115, -1020],
+   [0, 0, 1, 0, 0, 0, 7530, -22176, -1429], [0, 0, 0, 1, 0, 0, -6648, 19568, 1230],
+   [0, 0, 0, 0, 1, 0, -4167, 12270, 670], [0, 0, 0, 0, 0, 1, -2670, 7852, 596],
+   [0, 0, 0, 0, 0, 0, 2612, -7693, -434], [0, 0, 0, 0, 0, 0, -8135, 23954, 1569],
+   [0, 0, 0, 0, 0, 0, 3470, -10221, -539]],
+  [([72, -8, -23, 89, 19, 5, 31],
+    (-535154658, -6745228086, -9282445193, 8190451754, 5134678504, 3287670207, -3219472840,
+     10026956950, -4277017900)),
+   ([73, -8, -23, 89, 19, 5, 31], None)])]
+
+
 class TestSmithNormalForm:
     def assert_valid_snf(self, m, u, d, v):
         assert det(u) in (1, -1) and det(v) in (1, -1)
@@ -323,6 +393,15 @@ class TestSmithNormalForm:
     def test_rejects_rational(self):
         with pytest.raises(ValueError):
             smith_normal_form(Matrix([[Fraction(1, 2)]]))
+
+    def test_rejects_a_non_matrix(self):
+        # this used to raise AttributeError from m.nrows
+        with pytest.raises(TypeError, match="smith_normal_form needs a Matrix, got list"):
+            smith_normal_form([[1, 2]])
+
+    @pytest.mark.parametrize("rows, u, d, v, systems", PINNED_SNF, ids=["square", "tall", "wide"])
+    def test_pinned_transforms(self, rows, u, d, v, systems):
+        assert smith_normal_form(Matrix(rows)) == (Matrix(u), Matrix(d), Matrix(v))
 
     def test_dense_inputs_keep_small_transforms(self):
         # Dense inputs, square, tall and wide, are where U and V can grow:
@@ -371,6 +450,16 @@ class TestSolveInteger:
         with pytest.raises(DimensionError):
             solve_integer(Matrix([[1, 2]]), (1, 2))
 
+    def test_rejects_a_non_matrix(self):
+        # this used to raise AttributeError from m.nrows
+        with pytest.raises(TypeError, match="solve_integer needs a Matrix, got list"):
+            solve_integer([[1]], (1,))
+
+    @pytest.mark.parametrize("rows, u, d, v, systems", PINNED_SNF, ids=["square", "tall", "wide"])
+    def test_pinned_solutions(self, rows, u, d, v, systems):
+        for b, x in systems:
+            assert solve_integer(Matrix(rows), b) == x
+
 
 class TestBilinearForm:
     def test_hyperbolic_pairing(self):
@@ -385,3 +474,13 @@ class TestBilinearForm:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             BilinearForm.from_rows([[1, 1], [1, 1]])
+
+    def test_dimension_is_an_exact_integer(self):
+        # bools and floats used to be stored as the dimension
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError, match="exact number expected"):
+                BilinearForm(bad, Matrix([[1]]))
+        with pytest.raises(DimensionError, match="does not match the stated dimension"):
+            BilinearForm(Fraction(1, 2), Matrix([[1]]))
+        form = BilinearForm(Fraction(2, 2), Matrix([[1]]))
+        assert form.dim == 1 and type(form.dim) is int

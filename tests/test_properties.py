@@ -38,7 +38,7 @@ from fmlattice.averaging import (
     verify_ker_im,
 )
 import fmlattice
-from fmlattice import covers
+from fmlattice import covers, lattice
 from fmlattice.catalog import builtin_catalog
 from fmlattice.covers import chi_adjunction_check, validate_cover
 from fmlattice.defsio import load_definitions
@@ -450,6 +450,30 @@ def check_snf(rows):
         for x in diag:
             product *= x
         assert product == abs(reference_det(rows))
+
+
+@SETTINGS
+@given(matrices(max_rows=8, max_cols=8))
+@example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+@example([[0, -3, 5], [0, -2, 7], [0, 0, 0], [0, 4, -1]])  # a zero column first, a zero row
+@example([[-6]])
+def test_hnf_beside_the_identity_is_row_hermite_form(rows):
+    """_hnf on [m | I] leaves [H | U]: H in row Hermite form (echelon,
+    positive pivots, the entries above each pivot in [0, p)) and U
+    unimodular with U m = H."""
+    nrows, ncols = len(rows), len(rows[0])
+    a = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
+    lattice._hnf(a, nrows, ncols)
+    h, u = [row[:ncols] for row in a], [row[ncols:] for row in a]
+    leads = [next((c for c, x in enumerate(row) if x), ncols) for row in h]
+    pivots = [c for c in leads if c < ncols]
+    assert leads == pivots + [ncols] * (nrows - len(pivots))  # zero rows last
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert h[i][c] > 0
+        assert all(0 <= h[j][c] < h[i][c] for j in range(i))
+    assert reference_product(u, rows) == h
+    assert reference_det(u) in (1, -1)
 
 
 SNF_INPUTS = st.one_of(
