@@ -11,6 +11,9 @@ named after a catalog vector.  Matrices use the definitions-format
 literal [a,b;c,d].  Additional definitions files are loaded with --defs,
 repeatable, on top of the built-in catalog.  Each file is read on every
 call, and parsed and validated once per distinct content per process.
+
+Lines with the full command and only full flags are read from an option
+table; argparse reads the rest (--surf too) and words all help and errors.
 """
 
 from __future__ import annotations
@@ -97,9 +100,8 @@ def _parse_inline_triple(text: str, dim: int, what: str):
             raise ValueError
         head = [parse_number_text(x, allow_fraction=False) for x in left.split(",")]
         tail = parse_number_text(right)
-    except ValueError:
-        raise DefsError(
-            f"bad {what} {text!r}; expected r,c1,..,cd;ch2") from None
+    except (ValueError, AttributeError):  # argparse before 3.13 reads --v=-- as []
+        raise DefsError(f"bad {what} {text!r}; expected r,c1,..,cd;ch2") from None
     if len(head) != dim + 1:
         raise DefsError(
             f"{what} {text!r} has {len(head) - 1} divisor coordinates, lattice rank is {dim}")
@@ -343,6 +345,15 @@ _COMMANDS = {
 }
 
 
+# Each command's leaf-parser arguments, common ones first, for _parser() and
+# _table_parse: flag -> (dest, add_argument keywords, one of a required choice?)
+_OPTIONS = {name: {flag: (flag.lstrip("-").replace("-", "_"), kw, isinstance(spec, list))
+                   for spec in _COMMON + cmd.args
+                   for flag, kw in (spec if isinstance(spec, list) else [
+                       (spec, {"required": True}) if isinstance(spec, str) else spec])}
+            for name, cmd in _COMMANDS.items()}
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The parser, built on first use.  parse_args leaves it unchanged, so
@@ -355,23 +366,66 @@ def _parser() -> _Parser:
         if cmd.leaf:
             leaf, leaf_help, _ = cmd.leaf
             p = p.add_subparsers(dest="leaf", metavar=leaf).add_parser(leaf, help=leaf_help)
-        for spec in _COMMON + cmd.args:
-            if isinstance(spec, str):
-                p.add_argument(spec, required=True)
-            elif isinstance(spec, list):
-                group = p.add_mutually_exclusive_group(required=True)
-                for flag, kw in spec:
-                    group.add_argument(flag, **kw)
-            else:
-                p.add_argument(spec[0], **spec[1])
+        group = None
+        for flag, (_, kw, grouped) in _OPTIONS[name].items():
+            if grouped:
+                group = group or p.add_mutually_exclusive_group(required=True)
+            (group if grouped else p).add_argument(flag, **kw)
     return parser
 
 
+def _table_parse(argv: list):
+    """The Namespace of _parser().parse_args(argv), from the option table,
+    if argv names command and leaf in full and each option by its full flag
+    (--flag=value, or --flag value with a value not starting with "-")."""
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    if cmd is None or cmd.leaf and argv[1:2] != [cmd.leaf[0]]:
+        return None
+    ns = {"command": argv[0], "leaf": argv[1]} if cmd.leaf else {"command": argv[0]}
+    options = _OPTIONS[argv[0]]
+    slots = (flag for flag in options if not flag.startswith("-"))
+    words = iter(argv[len(ns):])
+    for word in words:
+        # a positional fills the next slot, as if joined to it by "="
+        flag, joined, value = (word.partition("=") if word.startswith("-")
+                               else (next(slots, "-"), "=", word))
+        if flag not in options:
+            return None
+        dest, kw, _ = options[flag]
+        switch = kw.get("action") == "store_true"  # takes no value, may repeat
+        if switch and joined:
+            return None
+        if not (switch or joined) and (value := next(words, "-")).startswith("-"):
+            return None  # a missing value fails like one that starts with "-"
+        try:
+            value = True if switch else kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value == "--" or value not in kw.get("choices", [value]):
+            return None
+        if kw.get("action") == "append":
+            ns[dest] = ns.get(dest, []) + [value]
+        elif ns.setdefault(dest, value) != value:
+            return None
+    chosen = 0
+    for flag, (dest, kw, grouped) in options.items():
+        if dest not in ns and (kw.get("required") or not flag.startswith("-")):
+            return None
+        chosen += grouped and dest in ns
+        ns.setdefault(dest, kw.get("default", False if kw.get("action") else None))
+    return argparse.Namespace(**ns) if chosen == any(g for *_, g in options.values()) else None
+
+
 def run_cli(argv) -> tuple:
-    """Run one command; returns (exit_code, output_text)."""
-    parser = _parser()
+    """Run one command; returns (exit_code, output_text).  An argv that is
+    not a sequence of str exits 2 with "error: argv must be a sequence of
+    str, got T", T the type of argv or of its first item that is not a str."""
     try:
-        ns = parser.parse_args(list(argv))
+        if hasattr(argv, "__iter__") and not isinstance(argv, (str, bytes)):
+            argv = list(argv)
+        if odd := [w for w in argv if not isinstance(w, str)] if isinstance(argv, list) else [argv]:
+            raise TypeError(f"argv must be a sequence of str, got {type(odd[0]).__name__}")
+        ns = _table_parse(argv) or _parser().parse_args(argv)
         if ns.command is None:
             raise _UsageError("a command is required")
         cmd = _COMMANDS[ns.command]
@@ -385,7 +439,7 @@ def run_cli(argv) -> tuple:
     except _HelpShown as exc:
         return OK, str(exc)
     except _UsageError as exc:
-        return INPUT_ERROR, parser.format_usage() + f"error: {exc}\n"
+        return INPUT_ERROR, _parser().format_usage() + f"error: {exc}\n"
     except (DefsError, ValueError, TypeError) as exc:
         if "integer string conversion" in str(exc):  # CPython's limit on printing an int
             exc = (f"a number in the result has more than {sys.get_int_max_str_digits()} digits;"

@@ -21,6 +21,7 @@ offending block and condition.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -177,16 +178,18 @@ def _blocks(tokens):
 
 
 def _parse_number(tok, allow_fraction):
+    """The value of a number token, or of the text of one at line 1, column 1."""
+    text, line, column = (tok, 1, 1) if isinstance(tok, str) else tok[1:]
     try:
-        if "/" not in tok.text:
+        if "/" not in text:
             # int() accepts and rejects the same slash-free tokens as
             # Fraction() and gives the same value, at a fraction of the cost
-            return int(tok.text)
-        value = Fraction(tok.text)
+            return int(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DefsParseError(f"bad number {tok.text!r}", tok.line, tok.column) from None
+        raise DefsParseError(f"bad number {text!r}", line, column) from None
     if not allow_fraction and value.denominator != 1:
-        _fail("expected an integer", tok)
+        raise DefsParseError("expected an integer", line, column)
     return int(value) if value.denominator == 1 else value
 
 
@@ -267,21 +270,24 @@ def _matrix(allow_fraction):
 
 def parse_number_text(text: str, allow_fraction=True):
     """Parse a standalone INT, or RAT when allow_fraction, like '-3/2'."""
-    try:
-        tokens = _tokenize(text)
-    except DefsParseError:
-        tokens = []
-    # one number token and the end-of-text newline
-    if len(tokens) != 2 or tokens[0].kind != "number" or tokens[0].text != text:
+    # the shape of one number token: an optional "-", a digit, digits and "/"
+    digits = text[1:] if text.startswith("-") else text
+    if not digits[:1].isdigit() or not digits.replace("/", "").isdigit():
         raise DefsParseError(f"bad number {text!r}", 1, 1)
-    return _parse_number(tokens[0], allow_fraction)
+    return _parse_number(text, allow_fraction)
 
 
 def parse_matrix_text(text: str, allow_fraction=True) -> Matrix:
     """Parse a standalone MATRIX literal like '[1,0;0,2]'."""
+    # ASCII numbers and no spaces, the usual command-line form, split fast
+    if isinstance(text, str) and re.fullmatch(r"\[-?[0-9][0-9/]*(?:[,;]-?[0-9][0-9/]*)*\]", text):
+        try:
+            return Matrix([[_parse_number(x, allow_fraction) for x in row.split(",")]
+                           for row in text[1:-1].split(";")])
+        except ValueError:
+            pass  # the token pass below places the error
     tokens = [t for t in _tokenize(text) if t.kind != "newline"]
-    anchor = _Token("ident", "matrix", 1, 1)
-    return _matrix(allow_fraction)(tokens, anchor, None)
+    return _matrix(allow_fraction)(tokens, _Token("ident", "matrix", 1, 1), None)
 
 
 def load_definitions(text: str, *, allow_invalid: bool = False,

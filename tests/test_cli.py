@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -7,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import fmlattice.cli
-from fmlattice.cli import _catalog_for, main, run_cli, run_script
+from fmlattice.cli import _catalog_for, _parser, _table_parse, main, run_cli, run_script
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DEFS = ROOT / "tests" / "data" / "golden.defs"
+CLI_GOLDEN = ROOT / "tests" / "data" / "cli_golden.txt"
 
 
 @pytest.fixture(autouse=True)
@@ -353,6 +355,106 @@ class TestFlagPlacement:
         code, out = run("surface", "show", "my_k3", "--defs", str(defs), "--records")
         assert code == 0
         assert out.splitlines()[:2] == ["surface\tmy_k3", "rank\t1"]
+
+
+
+class TestArgvTypes:
+    """argv must be a sequence of str; anything else is an input error that
+    names the offending type, found before any parsing."""
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["chi", 5], "int"),
+        ("chi", "str"),
+        (b"chi", "bytes"),
+        (["surface", "show", b"k3_toy"], "bytes"),
+        (["chi", None], "NoneType"),
+        (None, "NoneType"),
+        (7, "int"),
+    ])
+    def test_odd_argv_is_an_input_error(self, argv, kind):
+        assert run_cli(argv) == (2, f"error: argv must be a sequence of str, got {kind}\n")
+
+    def test_any_iterable_of_str_is_argv(self):
+        argv = ["chi", "--surface", "abelian_ppav", "--e", "1,0;0", "--f", "4,2;1"]
+        assert run_cli(iter(argv)) == run_cli(tuple(argv)) == (0, "1\n")
+
+
+def golden_lines(exit_code):
+    """The argv of each "$" line of the CLI golden transcript that exits
+    with exit_code."""
+    lines, argv = [], None
+    for line in CLI_GOLDEN.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+        elif line.startswith("# exit ") and int(line[7:]) == exit_code:
+            lines.append(argv)
+    return lines
+
+
+class TestTableParse:
+    """Well-formed lines are parsed from the option table, exactly as
+    argparse would parse them; argparse parses every other line, and is
+    built only then."""
+
+    def test_golden_lines_that_succeed_take_the_table_path(self):
+        lines = golden_lines(0)
+        assert len(lines) > 60
+        for argv in lines:
+            table = _table_parse(argv)
+            assert table is not None, argv
+            assert vars(table) == vars(_parser().parse_args(argv)), argv
+
+    def test_well_formed_line_builds_no_parser(self):
+        _parser.cache_clear()
+        try:
+            assert run("surface", "show", "k3_toy", "--records")[0] == 0
+            assert run("avg", "verify", "--trials=1", "--seed", "3", "--max-dim=3")[0] == 0
+            assert _parser.cache_info().currsize == 0
+            assert run("chi", "--surf", "abelian_ppav", "--e", "1,0;0", "--f", "4,2;1") == (0, "1\n")
+            assert _parser.cache_info().currsize == 1
+        finally:
+            _parser.cache_clear()
+
+    @pytest.mark.parametrize("argv", [
+        ["chi", "--surf", "k3_toy", "--e", "1,0;0", "--f", "1,0;0"],  # abbreviated
+        ["chi", "--surface", "k3_toy", "--e", "-1,0;0", "--f", "1,0;0"],  # dashed value
+        ["chi", "--surface=k3_toy", "--e=--", "--f", "1,0;0"],
+        ["chi", "--surface", "k3_toy", "--e", "1,0;0", "--e", "2,0;0", "--f", "1,0;0"],
+        ["chi", "--surface", "k3_toy", "--e", "1,0;0"],  # --f missing
+        ["chi", "--surface", "k3_toy", "--e", "1,0;0", "--f"],
+        ["chi", "--surface", "k3_toy", "--e", "1,0;0", "--f", "1,0;0", "extra"],
+        ["chi", "--surface", "k3_toy", "--e", "1,0;0", "--f", "1,0;0", "--records=yes"],
+        ["chi", "--surface", "k3_toy", "--e", "1,0;0", "--f", "1,0;0", "-h"],
+        ["free", "--cover", "bielliptic_cover_2"],  # neither --vector nor --e
+        ["free", "--cover", "bielliptic_cover_2", "--vector", "v_4_2l_1", "--e", "1,0,0;0"],
+        ["obstruction", "--cover", "bielliptic_cover_2", "--e", "poincare", "--m", "two"],
+        ["reproduce", "ex9.9"],
+        ["surface", "--records", "show", "k3_toy"],
+        ["surface", "k3_toy"],
+        ["avg"],
+        [],
+    ])
+    def test_other_lines_go_to_argparse(self, argv):
+        assert _table_parse(argv) is None
+
+    def test_table_namespace_has_every_default(self):
+        ns = vars(_table_parse(["avg", "verify", "--seed=4", "--records", "--records"]))
+        assert ns == {"command": "avg", "leaf": "verify", "defs": [], "records": True,
+                      "strict": False, "allow_invalid": False, "trials": 200, "seed": 4,
+                      "max_order": 12, "max_dim": 20}
+        assert ns == vars(_parser().parse_args(["avg", "verify", "--seed=4", "--records",
+                                                "--records"]))
+
+    @pytest.mark.parametrize("argv, error", [
+        (["pairing", "--surface", "k3_toy", "--v=--", "--w", "1,0;0"], "bad Mukai vector "),
+        (["lift-map", "--cover-y", "bielliptic_cover_2", "--cover-x", "bielliptic_cover_2",
+          "--mat=--"], "line 1, column 1: "),
+    ])
+    def test_dash_dash_joined_to_a_flag_is_an_input_error(self, argv, error):
+        # argparse before 3.13 reads --v=-- as the empty list
+        code, out = run(*argv)
+        assert code == 2
+        assert out.startswith("error: " + error)
 
 
 SESSION = [

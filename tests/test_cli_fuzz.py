@@ -1,11 +1,17 @@
-"""Fuzz of the fmlat command line: no argv escapes run_cli.
+"""Fuzz of the fmlat command line: no argv escapes run_cli, and the
+option-table parser agrees with argparse.
 
 Argv is drawn from the subcommands, their flags and the common flags,
 the ids of the built-in catalog, of tests/data/golden.defs and of the
 reproductions, small integers, class and matrix literals and junk
-tokens.  Every call must end with exit code 0, 1 or 2 and return its
-text, within a per-example deadline; a raised exception fails the test.
-The examples are derandomized, so every run replays the same ones.
+tokens.  A flag and its value come as two words or joined by "=", the
+flag sometimes abbreviated and the value sometimes "--" or starting with
+"-"; common flags sometimes come before show, validate or verify.  Every
+call must end with exit code 0, 1 or 2 and return its text, within a
+per-example deadline; a raised exception fails the test.  For every argv
+the option-table parser either declines or returns exactly the namespace
+argparse returns.  The examples are derandomized, so every run replays
+the same ones.
 """
 
 from datetime import timedelta
@@ -18,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fmlattice.catalog import EXAMPLE_IDS, builtin_catalog
-from fmlattice.cli import _COMMANDS, _COMMON, run_cli
+from fmlattice.cli import _COMMANDS, _COMMON, _parser, _table_parse, run_cli
 from fmlattice.defsio import load_definitions
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -103,6 +109,24 @@ def value_for(draw, flag):
     return draw(values if rarely(draw) else TYPED.get(flag, small_ints.map(str)))
 
 
+# values that argparse may read as a flag, or, for "--", as the end of the
+# flags (joined to a flag, argparse before 3.13 reads "--" as no value, [])
+DASHED = ["--"] * 7 + ["-", "-1", "-3/2", "-1,0;0", "-[1]", "--surface", "-h"]
+
+
+@st.composite
+def spelled(draw, flag, value=None):
+    """A flag, and the value it takes, as argv words: "--flag value" or
+    "--flag=value", sometimes with the flag cut short or a dashed value."""
+    if rarely(draw):
+        flag = flag[:draw(st.integers(3, len(flag)))]
+    if value is None:
+        return [flag]
+    if rarely(draw):
+        value = draw(st.sampled_from(DASHED))
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
+
 @st.composite
 def argvs(draw):
     """A subcommand with most of its own arguments, then a few drawn items:
@@ -112,12 +136,15 @@ def argvs(draw):
     cmd = _COMMANDS.get(name)
     if cmd is None:
         return argv + draw(st.lists(values, max_size=3))
+    if cmd.leaf and draw(st.integers(0, 4)) == 2:  # a common flag before the leaf
+        flag = draw(st.sampled_from(sorted(SWITCHES) + ["--defs"]))
+        argv += draw(spelled(flag, None if flag in SWITCHES else draw(value_for(flag))))
     if cmd.leaf and not rarely(draw):
         argv.append(cmd.leaf[0])
     if name == "avg":
         # without --trials, avg verify runs its default 200 trials (about a
         # second); a drawn --trials later in argv overrides this one
-        argv += ["--trials", str(draw(st.integers(-1, 3)))]
+        argv += draw(spelled("--trials", str(draw(st.integers(-1, 3)))))
     for spec in cmd.args:
         if isinstance(spec, list):  # a required choice of exactly one
             spec = draw(st.sampled_from(spec))
@@ -125,15 +152,16 @@ def argvs(draw):
         if rarely(draw):
             continue
         if flag.startswith("-"):
-            argv += [flag, draw(value_for(flag))]
+            argv += draw(spelled(flag, draw(value_for(flag))))
         else:
             argv.append(draw(st.sampled_from(EXAMPLE_IDS)) if name == "reproduce"
                         else draw(value_for(flag)))
     for _ in range(draw(st.integers(0, 3))):
         flag = draw(st.sampled_from(sorted(SWITCHES) * 3 + ["--defs"] * 3 + FLAGS))
-        argv.append(flag)
-        if flag not in SWITCHES and not rarely(draw):
-            argv.append(draw(value_for(flag)))
+        if flag in SWITCHES or rarely(draw):  # a switch, or a flag missing its value
+            argv += draw(spelled(flag))
+        else:
+            argv += draw(spelled(flag, draw(value_for(flag))))
     if rarely(draw):
         argv.insert(draw(st.integers(1, len(argv))), draw(values))
     return argv
@@ -146,3 +174,11 @@ def test_run_cli_never_raises(argv):
     code, out = run_cli(argv)
     assert code in (0, 1, 2)
     assert isinstance(out, str)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(argvs())
+def test_table_parse_agrees_with_argparse(argv):
+    table = _table_parse(argv)
+    if table is not None:
+        assert vars(table) == vars(_parser().parse_args(argv))

@@ -1,7 +1,8 @@
 """Property tests of the exact products, elimination and Smith normal
 form, of the averaging identity, of the pairings on the extended lattice,
-of lifting isometries and of the cyclic-action functions against loops
-over the stated order.
+of lifting isometries, of the cyclic-action functions against loops over
+the stated order, and of the number and matrix literal parsers against
+the tokenizer route they shortcut.
 
 Every product, matrix-vector product and scalar multiple is compared with
 a plain loop over Fraction, and every result of rref, kernel_basis,
@@ -41,7 +42,15 @@ import fmlattice
 from fmlattice import covers, lattice
 from fmlattice.catalog import builtin_catalog
 from fmlattice.covers import chi_adjunction_check, validate_cover
-from fmlattice.defsio import load_definitions
+from fmlattice.defsio import (
+    DefsParseError,
+    _matrix,
+    _tokenize,
+    _Token,
+    load_definitions,
+    parse_matrix_text,
+    parse_number_text,
+)
 from fmlattice.descent import freeness_gcd, generator_set, orbit_sum
 from fmlattice.lattice import (
     BilinearForm,
@@ -879,3 +888,68 @@ def test_equivariance_and_orbit_sums_match_stated_order_loops(case, data):
             orbit_sum(a_y, e, m)
     else:
         assert repr(orbit_sum(a_y, e, m)) == expected
+
+
+# Literal texts mix ASCII digits, non-ASCII characters that str.isdigit()
+# accepts ("²" is no decimal digit, "٣" is), letters, the punctuation of
+# literals, spaces, comments and newlines.
+LITERAL_ALPHABET = st.sampled_from(list("0123456789" * 2 + "²٣aZ-/[],; #\n" + "-/,;" * 2))
+# Number-shaped texts, and matrices of them, which reach the fast path.
+literal_entries = st.one_of(
+    st.from_regex(r"-?[0-9]{1,2}(/-?[0-9]{1,2})?", fullmatch=True),
+    st.text(st.sampled_from(list("0123456789" * 3 + "--//²٣ ")), min_size=1, max_size=4))
+literal_texts = st.one_of(
+    literal_entries,
+    st.text(LITERAL_ALPHABET, max_size=12),
+    st.text(LITERAL_ALPHABET, max_size=24).map(lambda t: f"[{t}]"),
+    st.lists(st.lists(literal_entries, min_size=1, max_size=3), min_size=1, max_size=3).map(
+        lambda rows: "[" + ";".join(",".join(row) for row in rows) + "]"))
+
+
+def reference_number(tok, allow_fraction):
+    """The value of a number token, as the definitions parser read it."""
+    try:
+        if "/" not in tok.text:
+            return int(tok.text)
+        value = Fraction(tok.text)
+    except (ValueError, ZeroDivisionError):
+        raise DefsParseError(f"bad number {tok.text!r}", tok.line, tok.column) from None
+    if not allow_fraction and value.denominator != 1:
+        raise DefsParseError("expected an integer", tok.line, tok.column)
+    return int(value) if value.denominator == 1 else value
+
+
+def reference_number_text(text, allow_fraction):
+    """parse_number_text by the token route: the text is one number token."""
+    try:
+        tokens = _tokenize(text)
+    except DefsParseError:
+        tokens = []
+    if len(tokens) != 2 or tokens[0].kind != "number" or tokens[0].text != text:
+        raise DefsParseError(f"bad number {text!r}", 1, 1)
+    return reference_number(tokens[0], allow_fraction)
+
+
+def reference_matrix_text(text, allow_fraction):
+    """parse_matrix_text by the token route: the tokens through _matrix."""
+    tokens = [t for t in _tokenize(text) if t.kind != "newline"]
+    return _matrix(allow_fraction)(tokens, _Token("ident", "matrix", 1, 1), None)
+
+
+def literal_outcome(parse, text, allow_fraction):
+    """The value with the type of each number, or the exception's type and message."""
+    try:
+        value = parse(text, allow_fraction)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return type(exc), str(exc)
+    rows = value.entries if isinstance(value, Matrix) else [[value]]
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(literal_texts, st.booleans())
+def test_literal_parsers_match_the_token_route(text, allow_fraction):
+    assert (literal_outcome(parse_number_text, text, allow_fraction)
+            == literal_outcome(reference_number_text, text, allow_fraction))
+    assert (literal_outcome(parse_matrix_text, text, allow_fraction)
+            == literal_outcome(reference_matrix_text, text, allow_fraction))
