@@ -31,34 +31,34 @@ cyclotomic polynomials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import sub
 
-from .lattice import DimensionError, Matrix, as_rational, block_diagonal, pivot_columns, rank, vector
+from .lattice import DimensionError, Matrix, Value, _set, as_rational, block_diagonal, pivot_columns, rank, vector
 from .surfaces import InvariantError
 
 
 MAX_ORDER = 1000  # check_equivariant, for one, returns one exponent per element of the order
 
 
-@dataclass(frozen=True)
-class CyclicRep:
+class CyclicRep(Value):
     """A rational representation of Z_order of the given dimension."""
 
-    order: int
-    dim: int
-    gen: Matrix
+    _fields = ("order", "dim", "gen")
+
+    def __init__(self, order: int, dim: int, gen: Matrix):
+        for name, value in (("order", order), ("dim", dim)):
+            value = as_rational(value)  # bools and floats raise TypeError
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+            _set(self, name, value)
+        _set(self, "gen", gen)
+        self.__post_init__()  # through self: GActionLattice's checks more, timed by bench/tracing.py
 
     def __post_init__(self, where: str = "", integral: bool = False):
         # GActionLattice passes where its generator acts and integral=True
-        for name in ("order", "dim"):
-            value = as_rational(getattr(self, name))  # bools and floats raise TypeError
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, value)
         if self.order > MAX_ORDER:  # also bounds a hyperbolic generator's growth in the gate
             raise ValueError(f"order must be at most {MAX_ORDER}")
         if not (self.gen.is_square and self.gen.nrows == self.dim):
@@ -97,11 +97,13 @@ def difference_operator(rep: CyclicRep) -> Matrix:
     return Matrix.identity(rep.dim) - rep.gen
 
 
-@dataclass(frozen=True)
-class KerImReport:
-    holds: bool
-    dim_ker_norm: int
-    rank_difference: int
+class KerImReport(Value):
+    _fields = ("holds", "dim_ker_norm", "rank_difference")
+
+    def __init__(self, holds: bool, dim_ker_norm: int, rank_difference: int):
+        _set(self, "holds", holds)
+        _set(self, "dim_ker_norm", dim_ker_norm)
+        _set(self, "rank_difference", rank_difference)
 
 
 def verify_ker_im(rep: CyclicRep) -> KerImReport:

@@ -9,7 +9,6 @@ example id and reports every computed number next to its expected value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
@@ -17,18 +16,18 @@ from types import MappingProxyType
 from .covers import pushforward_ch
 from .defsio import load_definitions
 from .descent import freeness_gcd
+from .lattice import Value
 from .surfaces import euler_pairing, moduli_dim_expectation
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Value):
     """Validated catalog entries indexed by kind.
 
     Per-kind dicts (id -> payload; treat them as read-only) and registry()
     (id -> entry, a read-only view) are built on first access and shared.
     """
 
-    entries: tuple
+    _fields = ("entries",)
 
     @cached_property
     def surfaces(self) -> dict:
@@ -67,21 +66,16 @@ def builtin_catalog() -> Catalog:
     return Catalog(tuple(load_definitions(builtin_text())))
 
 
-@dataclass(frozen=True)
-class ReproCheck:
-    name: str
-    computed: str
-    expected: str
+class ReproCheck(Value):
+    _fields = ("name", "computed", "expected")
 
     @property
     def passed(self) -> bool:
         return self.computed == self.expected
 
 
-@dataclass(frozen=True)
-class ReproReport:
-    example: str
-    checks: tuple
+class ReproReport(Value):
+    _fields = ("example", "checks")
 
     @property
     def passed(self) -> bool:

@@ -18,11 +18,10 @@ table; argparse reads the rest (--surf too) and words all help and errors.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import random
-import shlex
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .averaging import MAX_ORDER, random_rep, verify_ker_im
@@ -48,14 +47,6 @@ class _UsageError(Exception):
 
 class _HelpShown(Exception):
     """Carries the help text of -h/--help, which argparse would print and exit on."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-    def print_help(self, file=None):
-        raise _HelpShown(self.format_help())
 
 
 # Catalogs for the --defs texts read so far, keyed by content rather than by
@@ -100,7 +91,7 @@ def _parse_inline_triple(text: str, dim: int, what: str):
             raise ValueError
         head = [parse_number_text(x, allow_fraction=False) for x in left.split(",")]
         tail = parse_number_text(right)
-    except (ValueError, AttributeError):  # argparse before 3.13 reads --v=-- as []
+    except ValueError:
         raise DefsError(f"bad {what} {text!r}; expected r,c1,..,cd;ch2") from None
     if len(head) != dim + 1:
         raise DefsError(
@@ -355,9 +346,24 @@ _OPTIONS = {name: {flag: (flag.lstrip("-").replace("-", "_"), kw, isinstance(spe
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The parser, built on first use.  parse_args leaves it unchanged, so
-    all calls and threads share it."""
+def _parser():
+    """The parser, built (and argparse imported) on first use.  parse_args
+    leaves it unchanged, so all calls and threads share it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+        def print_help(self, file=None):
+            raise _HelpShown(self.format_help())
+
+        def _get_values(self, action, arg_strings):
+            # a joined --flag=--, read as [] before Python 3.13 and as "--" since
+            if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(prog="fmlat", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -375,7 +381,7 @@ def _parser() -> _Parser:
 
 
 def _table_parse(argv: list):
-    """The Namespace of _parser().parse_args(argv), from the option table,
+    """The namespace of _parser().parse_args(argv), from the option table,
     if argv names command and leaf in full and each option by its full flag
     (--flag=value, or --flag value with a value not starting with "-")."""
     cmd = _COMMANDS.get(argv[0]) if argv else None
@@ -413,7 +419,7 @@ def _table_parse(argv: list):
             return None
         chosen += grouped and dest in ns
         ns.setdefault(dest, kw.get("default", False if kw.get("action") else None))
-    return argparse.Namespace(**ns) if chosen == any(g for *_, g in options.values()) else None
+    return SimpleNamespace(**ns) if chosen == any(g for *_, g in options.values()) else None
 
 
 def run_cli(argv) -> tuple:
@@ -458,6 +464,7 @@ def run_script(text: str) -> tuple:
     words, such as one with an unbalanced quote, is an input error of that
     line alone.
     """
+    import shlex
     code = OK
     chunks = []
     for raw in text.splitlines():

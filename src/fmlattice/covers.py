@@ -30,15 +30,13 @@ here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import DimensionError, Matrix, as_rational, block_diagonal
+from .lattice import DimensionError, Matrix, Value, as_rational, block_diagonal
 from .surfaces import ExtendedVector, NumericalSurface, euler_pairing
 
 
-@dataclass(frozen=True)
-class CoverTransfer:
+class CoverTransfer(Value):
     """Pullback/pushforward data for a degree-n canonical cover.
 
     pull_num maps Num(base) -> Num(cover), push_num the other way; both
@@ -48,26 +46,23 @@ class CoverTransfer:
     validate_cover, so that invalid transfers can be built and examined.
     """
 
-    base: NumericalSurface
-    cover: NumericalSurface
-    degree: int
-    pull_num: Matrix
-    push_num: Matrix
+    _fields = ("base", "cover", "degree", "pull_num", "push_num")
 
-    def __post_init__(self):
-        degree = as_rational(self.degree)  # bools and floats raise TypeError
+    def __init__(self, base: NumericalSurface, cover: NumericalSurface, degree: int,
+                 pull_num: Matrix, push_num: Matrix):
+        degree = as_rational(degree)  # bools and floats raise TypeError
         if not isinstance(degree, int) or degree < 1:
             raise ValueError("cover degree must be a positive integer")
-        object.__setattr__(self, "degree", degree)
-        if self.cover.canonical_order != 1:
+        if cover.canonical_order != 1:
             raise ValueError(
-                f"covering surface {self.cover.name} must have trivial canonical bundle")
-        if not (self.pull_num.is_integral and self.push_num.is_integral):
+                f"covering surface {cover.name} must have trivial canonical bundle")
+        if not (pull_num.is_integral and push_num.is_integral):
             raise ValueError("transfer matrices must be integral")
-        if (self.pull_num.nrows, self.pull_num.ncols) != (self.cover.dim, self.base.dim):
+        if (pull_num.nrows, pull_num.ncols) != (cover.dim, base.dim):
             raise DimensionError("pull matrix shape does not match the two lattices")
-        if (self.push_num.nrows, self.push_num.ncols) != (self.base.dim, self.cover.dim):
+        if (push_num.nrows, push_num.ncols) != (base.dim, cover.dim):
             raise DimensionError("push matrix shape does not match the two lattices")
+        super().__init__(base, cover, degree, pull_num, push_num)
 
     @cached_property
     def pull_extended(self) -> Matrix:
@@ -93,16 +88,12 @@ class CoverTransfer:
         return degree_identity(self)
 
 
-@dataclass(frozen=True)
-class CoverCheck:
-    name: str
-    passed: bool
-    detail: str
+class CoverCheck(Value):
+    _fields = ("name", "passed", "detail")
 
 
-@dataclass(frozen=True)
-class CoverValidation:
-    checks: tuple
+class CoverValidation(Value):
+    _fields = ("checks",)
 
     @property
     def passed(self) -> bool:

@@ -22,12 +22,11 @@ offending block and condition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .covers import CoverTransfer, validate_cover
-from .lattice import BilinearForm, Matrix
+from .lattice import BilinearForm, Matrix, Value
 from .surfaces import ExtendedVector, NumericalSurface
 from .transport import GActionLattice
 
@@ -45,19 +44,14 @@ class DefsParseError(DefsError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class VectorEntry:
+class VectorEntry(Value):
     """A named Chern character bound to a catalog surface."""
 
-    surface: NumericalSurface
-    chern: ExtendedVector
+    _fields = ("surface", "chern")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    kind: str
-    payload: object
+class CatalogEntry(Value):
+    _fields = ("id", "kind", "payload")
 
 
 class _Token(NamedTuple):

@@ -18,18 +18,16 @@ chi(pull F, E), so the gcd cannot be 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
-from math import gcd
 
 from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, as_rational, solve_rational
+from .lattice import DimensionError, Matrix, Value, _set, as_rational, solve_rational
 from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi
 from .transport import GActionLattice
 
 
-@dataclass(frozen=True)
-class GcdCertificate:
+class GcdCertificate(Value):
     """Named chi values against a generating set, their gcd, the verdict.
 
     free means the induced action on moduli is free, equivalently the
@@ -38,15 +36,16 @@ class GcdCertificate:
     as not free.
     """
 
-    values: tuple
-    gcd: int
-    free: bool
+    _fields = ("values", "gcd", "free")
 
-    def __post_init__(self):
-        if self.gcd != gcd(*[v for _, v in self.values]):
+    def __init__(self, values: tuple, gcd: int, free: bool):
+        if gcd != math.gcd(*[v for _, v in values]):
             raise ValueError("stated gcd does not match the listed values")
-        if self.free != (self.gcd == 1):
+        if free != (gcd == 1):
             raise ValueError("freeness verdict must mean gcd = 1")
+        _set(self, "values", values)
+        _set(self, "gcd", gcd)
+        _set(self, "free", free)
 
     @classmethod
     def from_values(cls, values) -> "GcdCertificate":
@@ -55,7 +54,7 @@ class GcdCertificate:
         values = tuple([(str(label), as_rational(v)) for label, v in values])
         if not all(isinstance(v, int) for _, v in values):
             raise InvariantError(f"chi values {values} must be integers")
-        g = gcd(*[v for _, v in values])
+        g = math.gcd(*[v for _, v in values])
         return cls(values, g, g == 1)
 
 
@@ -105,8 +104,7 @@ def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVect
     return ExtendedVector.from_coords(tuple(total))
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Value):
     """Outcome of the length-m orbit divisibility obstruction.
 
     applicable is False (with a reason) when the orbit sum fails to be
@@ -115,11 +113,7 @@ class ObstructionReport:
     whether every generator chi value is divisible by it.
     """
 
-    applicable: bool
-    reason: str | None
-    divisor: int | None
-    all_divisible: bool | None
-    values: tuple
+    _fields = ("applicable", "reason", "divisor", "all_divisible", "values")
 
 
 def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> ObstructionReport:

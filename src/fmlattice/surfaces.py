@@ -29,19 +29,17 @@ satisfied and the sheaf-level content stays out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .lattice import BilinearForm, DimensionError, Matrix, as_rational, dot
+from .lattice import BilinearForm, DimensionError, Matrix, Value, _set, as_rational, dot
 
 
 class InvariantError(ValueError):
     """A value violates one of the model's structural invariants."""
 
 
-@dataclass(frozen=True)
-class ExtendedVector:
+class ExtendedVector(Value):
     """A vector (r, c, s) of the extended lattice H^0 + Num + H^4.
 
     The one value type for every class of the calculus: a Chern character
@@ -55,20 +53,18 @@ class ExtendedVector:
     of 2 ch2 + c^2) is checked by NumericalSurface.character.
     """
 
-    r: int
-    c: tuple
-    s: Fraction
+    _fields = ("r", "c", "s")
 
-    def __post_init__(self):
-        if isinstance(self.c, (str, bytes)):
-            raise TypeError(f"divisor must be a sequence, not {type(self.c).__name__}")
-        r = as_rational(self.r)
-        c = tuple([as_rational(x) for x in self.c])
+    def __init__(self, r: int, c: tuple, s: Fraction):
+        if isinstance(c, (str, bytes)):
+            raise TypeError(f"divisor must be a sequence, not {type(c).__name__}")
+        r = as_rational(r)
+        c = tuple([as_rational(x) for x in c])
         if not (isinstance(r, int) and all(isinstance(x, int) for x in c)):
             raise InvariantError(f"rank {r} and divisor {c} must be integral")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", Fraction(as_rational(self.s)))
+        _set(self, "r", r)
+        _set(self, "c", c)
+        _set(self, "s", Fraction(as_rational(s)))
 
     @property
     def ch2(self) -> Fraction:
@@ -87,8 +83,7 @@ class ExtendedVector:
 ChernCharacter = MukaiVector = ExtendedVector
 
 
-@dataclass(frozen=True)
-class NumericalSurface:
+class NumericalSurface(Value):
     """Intersection lattice, chi(O) and canonical order of a surface.
 
     No canonical-class vector is stored: the model only admits surfaces
@@ -100,20 +95,16 @@ class NumericalSurface:
     a non-integer raises InvariantError.
     """
 
-    name: str
-    num: BilinearForm
-    chi_o: int
-    canonical_order: int
+    _fields = ("name", "num", "chi_o", "canonical_order")
 
-    def __post_init__(self):
-        chi_o = as_rational(self.chi_o)
-        order = as_rational(self.canonical_order)
+    def __init__(self, name: str, num: BilinearForm, chi_o: int, canonical_order: int):
+        chi_o = as_rational(chi_o)
+        order = as_rational(canonical_order)
         if not isinstance(chi_o, int):
             raise InvariantError(f"chi_o = {chi_o} must be an integer")
         if not isinstance(order, int) or order < 1:
             raise InvariantError("canonical_order must be a positive integer")
-        object.__setattr__(self, "chi_o", chi_o)
-        object.__setattr__(self, "canonical_order", order)
+        super().__init__(name, num, chi_o, order)
 
     @property
     def dim(self) -> int:

@@ -36,27 +36,25 @@ of an arbitrary representative, so that the caller sees it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .averaging import CyclicRep
 from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, as_rational, kernel_basis
+from .lattice import DimensionError, Matrix, Value, _set, as_rational, kernel_basis
 from .surfaces import InvariantError, NumericalSurface
 
 
-@dataclass(frozen=True, init=False)
 class GActionLattice(CyclicRep):
     """The extended-lattice action of a generator of a cyclic group: a
     CyclicRep of dimension surface.extended_dim() on a surface with
     trivial canonical class, whose generator is integral and preserves
     the Mukai pairing."""
 
-    surface: NumericalSurface
+    _fields = ("order", "dim", "gen", "surface")
 
     def __init__(self, surface: NumericalSurface, order: int, gen: Matrix):
-        object.__setattr__(self, "surface", surface)
+        _set(self, "surface", surface)
         super().__init__(order, surface.extended_dim(), gen)
 
     def __post_init__(self):
@@ -69,13 +67,16 @@ class GActionLattice(CyclicRep):
             raise ValueError("generator does not preserve the Mukai pairing")
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(Value):
     """A pairing-preserving integral map between extended Mukai lattices."""
 
-    source: NumericalSurface
-    target: NumericalSurface
-    mat: Matrix
+    _fields = ("source", "target", "mat")
+
+    def __init__(self, source: NumericalSurface, target: NumericalSurface, mat: Matrix):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "mat", mat)
+        self.__post_init__()  # through self: bench/tracing.py replaces it to time it
 
     def __post_init__(self):
         ds, dt = self.source.extended_dim(), self.target.extended_dim()
@@ -162,8 +163,7 @@ def check_equivariant(phi: LatticeIsometry, a_y: GActionLattice,
     return [j * k % n for j in range(n)]
 
 
-@dataclass(frozen=True)
-class DescentOutcome:
+class DescentOutcome(Value):
     """Result of descend_isometry: the isometry, or a named failure.
 
     witness, when present, is a pair (source_vector, image_vector) of
@@ -171,9 +171,12 @@ class DescentOutcome:
     to send the first to the second, and no integral map can.
     """
 
-    isometry: LatticeIsometry | None
-    failure: str | None = None
-    witness: tuple | None = None
+    _fields = ("isometry", "failure", "witness")
+
+    def __init__(self, isometry: LatticeIsometry | None, failure: str | None = None, witness: tuple | None = None):
+        _set(self, "isometry", isometry)
+        _set(self, "failure", failure)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.isometry is not None
@@ -216,8 +219,7 @@ def descend_isometry(phi_t: LatticeIsometry, t_y: CoverTransfer,
     return DescentOutcome(iso)
 
 
-@dataclass(frozen=True)
-class LiftFamily:
+class LiftFamily(Value):
     """Affine family of rational solutions of the two lifting squares.
 
     Returned when both covers have strictly larger Num rank than their
@@ -228,8 +230,7 @@ class LiftFamily:
     the actual lifts and are left to the caller, being nonlinear.
     """
 
-    particular: Matrix
-    directions: tuple
+    _fields = ("particular", "directions")
 
 
 def lift_isometry(phi: LatticeIsometry, t_y: CoverTransfer, t_x: CoverTransfer):

@@ -1,3 +1,4 @@
+import json
 import os
 import shlex
 import subprocess
@@ -445,16 +446,22 @@ class TestTableParse:
         assert ns == vars(_parser().parse_args(["avg", "verify", "--seed=4", "--records",
                                                 "--records"]))
 
-    @pytest.mark.parametrize("argv, error", [
-        (["pairing", "--surface", "k3_toy", "--v=--", "--w", "1,0;0"], "bad Mukai vector "),
+    @pytest.mark.parametrize("argv, flag", [
+        (["pairing", "--surface", "k3_toy", "--v=--", "--w", "1,0;0"], "--v"),
         (["lift-map", "--cover-y", "bielliptic_cover_2", "--cover-x", "bielliptic_cover_2",
-          "--mat=--"], "line 1, column 1: "),
+          "--mat=--"], "--mat"),
+        (["chi", "--surf=--", "--e", "1,0;0", "--f", "1,0;0"], "--surface"),
+        (["obstruction", "--cover", "bielliptic_cover_2", "--e", "poincare", "--m=--"], "--m"),
+        (["surface", "show", "k3_toy", "--defs=--"], "--defs"),
     ])
-    def test_dash_dash_joined_to_a_flag_is_an_input_error(self, argv, error):
-        # argparse before 3.13 reads --v=-- as the empty list
+    def test_dash_dash_joined_to_a_flag_is_a_usage_error(self, argv, flag):
+        # argparse reads --v=-- as the empty list before 3.13 and as "--"
+        # from 3.13 on; on every version it is the error of --v --
         code, out = run(*argv)
+        assert (code, out) == run(*[w.replace("=--", "") for w in argv], "--")
         assert code == 2
-        assert out.startswith("error: " + error)
+        assert out.startswith("usage: fmlat ")
+        assert out.endswith(f"\nerror: argument {flag}: expected one argument\n")
 
 
 SESSION = [
@@ -631,3 +638,31 @@ def test_python_m_fmlattice_runs_the_cli():
          "--e", "1,0;0", "--f", "4,2;1"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+COLD_START = """
+import importlib.resources, json, sys
+# what the catalog's resource reader imports (inspect, from Python 3.12 on)
+# is not charged to fmlattice
+before = set(sys.modules)
+import fmlattice.cli
+from fmlattice.catalog import builtin_catalog
+builtin_catalog()
+chi = fmlattice.cli.run_cli(["chi", "--surface", "abelian_ppav", "--e", "1,0;0", "--f", "4,2;1"])
+imported = [m for m in ("dataclasses", "inspect", "argparse", "shlex")
+            if m in sys.modules and m not in before]
+print(json.dumps([chi, imported, fmlattice.cli.run_cli(["chi", "-h"])]))
+"""
+
+
+def test_cold_start_imports_neither_dataclasses_nor_argparse():
+    # -S skips site, whose .pth files may import any of these first
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", COLD_START],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    chi, imported, (help_code, help_text) = json.loads(proc.stdout)
+    assert chi == [0, "1\n"]
+    assert imported == []
+    assert help_code == 0 and help_text.startswith("usage: fmlat chi [-h]")
+    assert "--surface SURFACE" in help_text

@@ -143,6 +143,15 @@ chi --surface k3_toy --e 1,0;0 --f 1,0;0.5
 avg verify --trials 1001
 avg verify --max-order 1001
 avg verify --max-dim 33
+chi --surface -- --e 1,0;0 --f 1,0;0
+chi --surface=-- --e 1,0;0 --f 1,0;0
+free --cover=-- --vector 1,0;0
+surface show k3_toy --defs=--
+cover validate bielliptic_cover_2 --defs=--
+avg verify --seed=--
+obstruction --cover bielliptic_cover_2 --e poincare --m=--
+pairing --surface k3_toy --v=-- --w 1,0;0
+lift-map {B2} --mat=--
 """
 
 
