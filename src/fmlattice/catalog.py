@@ -9,8 +9,8 @@ example id and reports every computed number next to its expected value.
 
 from __future__ import annotations
 
+import os
 from functools import cached_property, lru_cache
-from importlib import resources
 from types import MappingProxyType
 
 from .covers import pushforward_ch
@@ -58,7 +58,12 @@ class Catalog(Value):
 
 @lru_cache(maxsize=1)
 def builtin_text() -> str:
-    return resources.files("fmlattice.data").joinpath("catalog.defs").read_text("utf-8")
+    """data/catalog.defs, read by this module's own loader, as pkgutil.get_data
+    does: from a source tree and from a zip import alike, without the
+    tempfile, pathlib, zipfile and (from Python 3.12) inspect imports that
+    importlib.resources makes."""
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.defs")
+    return __loader__.get_data(path).decode("utf-8")
 
 
 @lru_cache(maxsize=1)

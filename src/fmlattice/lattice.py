@@ -8,12 +8,14 @@ tuple replaced whole, which a product reads once and checks before use.
 
 The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool: one
-fraction-free elimination (Bareiss), forward for ranks and determinants
-and Gauss-Jordan for reduced forms (and so kernels, rational solutions
-and inverses), and Smith normal form from Hermite passes.  Only Matrix()
+fraction-free elimination (Bareiss), forward for ranks, determinants and
+solutions and Gauss-Jordan for reduced forms (and so kernels and
+inverses), and Smith normal form from Hermite passes.  Only Matrix()
 and from_columns check each entry; identity, zero, diagonal (its values
 pass vector()) and every matrix the kernel computes itself (sums, products,
 negations, transposes, reduced forms, inverses, normal forms) are trusted.
+The eliminations, solvers and Smith normal form refuse a non-Matrix
+argument with one TypeError (_matrix_needed).
 
 There is one way into the integers and one way out: _cleared writes a
 matrix as integer rows over one common denominator d (det divides by d^n
@@ -28,6 +30,13 @@ and V; a column pass is a row pass on the transpose.  R = I gives U,
 R = b gives U b alone.  A pass rewrites rows from the pivot column on,
 scans once per Euclid step, and leaves echelon form, so the test that m
 is diagonal reads one slice per row (_hnf, _smith).
+
+Solving starts from one forward elimination of [m | b] (_solve): with
+the pivot columns fixed, the solution whose free coordinates are 0 is
+unique, so back-substitution in integers gives it exactly, and it is
+solve_rational's answer.  When m has full column rank that solution is
+the only one, so it is also the integer answer if it is integral;
+solve_integer runs the Smith passes only on wide and rank-deficient m.
 
 Products take one of two paths, chosen from the nonzero counts na, nb
 that _ints caches.  For A m x k and B k x p, the row-wise product over
@@ -339,6 +348,13 @@ def _packed_product(a, packing, p: int) -> list:
     return out
 
 
+def _matrix_needed(m, name: str) -> None:
+    """Refuse a non-Matrix argument with one TypeError, not an AttributeError
+    from deep inside."""
+    if not isinstance(m, Matrix):
+        raise TypeError(f"{name} needs a Matrix, got {type(m).__name__}")
+
+
 def _divided(values, d: int) -> tuple:
     """The ints values divided by d, as a list of ints where d divides and
     Fractions elsewhere, and whether d divided every value."""
@@ -355,6 +371,7 @@ def _divided(values, d: int) -> tuple:
 
 def det(m: Matrix):
     """Exact determinant: the signed last forward pivot of the rows cleared to d, over d^n."""
+    _matrix_needed(m, "det")
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
     rows, d, _, _ = m._ints()
@@ -367,6 +384,7 @@ def det(m: Matrix):
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse over Q, the right half of rref([m | I]); raises on
     singular input."""
+    _matrix_needed(m, "inverse")
     if not m.is_square:
         raise DimensionError("inverse of a non-square matrix")
     n = m.nrows
@@ -386,6 +404,7 @@ def rref(m: Matrix) -> tuple:
     each pivot row is then divided by its pivot.  The reduced form is
     unique, so this is the same matrix as elimination over Q.
     """
+    _matrix_needed(m, "rref")
     a = list(m._ints()[0])
     pivots = _eliminate(a, True)[0]
     integral = True
@@ -397,10 +416,12 @@ def rref(m: Matrix) -> tuple:
 
 def pivot_columns(m: Matrix) -> tuple:
     """The pivot columns of a row-echelon form of m, from one forward elimination."""
+    _matrix_needed(m, "pivot_columns")
     return tuple(_eliminate(list(m._ints()[0]), False)[0])
 
 
 def rank(m: Matrix) -> int:
+    _matrix_needed(m, "rank")
     return len(_eliminate(list(m._ints()[0]), False)[0])
 
 
@@ -447,6 +468,7 @@ def _eliminate(a, jordan: bool) -> tuple:
 
 def kernel_basis(m: Matrix) -> list:
     """A basis of the rational null space, empty when the matrix is injective."""
+    _matrix_needed(m, "kernel_basis")
     reduced, pivots = rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
@@ -460,19 +482,41 @@ def kernel_basis(m: Matrix) -> list:
 
 
 def solve_rational(m: Matrix, b) -> tuple | None:
-    """One exact solution of m x = b over Q, or None when inconsistent."""
+    """One exact solution of m x = b over Q, or None when inconsistent: the
+    one whose coordinates off the pivot columns of m are 0.  Those columns
+    are fixed by m, and with them the solution, so it is the one a reduced
+    row-echelon form of [m | b] reads off; _solve finds it without one."""
+    _matrix_needed(m, "solve_rational")
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length mismatch")
-    b = vector(b)
-    aug = Matrix._trusted(tuple([row + (bi,) for row, bi in zip(m.entries, b)]),
-                          m.is_integral and all([type(x) is int for x in b]))
-    reduced, pivots = rref(aug)
-    if m.ncols in pivots:
+    solved = _solve(m, vector(b))
+    if solved is None:
         return None
-    x = [0] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i, m.ncols]
-    return tuple(x)
+    y, den, _ = solved
+    return tuple(_divided(y, den)[0])
+
+
+def _solve(m: Matrix, b: tuple) -> tuple | None:
+    """(y, den, rank) for m x = b over Q, from one forward elimination of
+    [m | b] cleared to integers, or None when a pivot falls in the b
+    column.  den is the last pivot, the minor of the cleared m on the pivot
+    rows and columns (1 at rank 0), and x = y / den the solution that is 0
+    off the pivot columns.  By Cramer's rule den x is integral, so the
+    back-substitution divides exactly: row k of the echelon form, zero left
+    of its pivot c, gives den x_c from the den x_j already found, j > c."""
+    n = m.ncols
+    aug = tuple([row + (x,) for row, x in zip(m.entries, b)])
+    a = list(_cleared(aug, m.is_integral and all([type(x) is int for x in b]))[0])
+    pivots = _eliminate(a, False)[0]
+    if pivots and pivots[-1] == n:
+        return None
+    r = len(pivots)
+    den = a[r - 1][pivots[-1]] if r else 1
+    y = [0] * n
+    for k in reversed(range(r)):
+        row, c = a[k], pivots[k]
+        y[c] = (den * row[n] - sum(map(mul, row, y))) // row[c]
+    return y, den, r
 
 
 def _hnf(a, nrows: int, ncols: int) -> None:
@@ -521,8 +565,7 @@ def smith_normal_form(m: Matrix) -> tuple:
     each diagonal entry divides the next.  Total on all integer matrices.
     The passes of _smith run on [[m, I], [I, 0]] and leave [[D, U], [V, 0]].
     """
-    if not isinstance(m, Matrix):
-        raise TypeError(f"smith_normal_form needs a Matrix, got {type(m).__name__}")
+    _matrix_needed(m, "smith_normal_form")
     nrows, ncols = m.nrows, m.ncols
     a = _smith(m, [[int(i == j) for j in range(nrows)] for i in range(nrows)])
     top, bottom = a[:nrows], a[nrows:]
@@ -576,16 +619,29 @@ def _smith(m: Matrix, right) -> list:
 
 
 def solve_integer(m: Matrix, b) -> tuple | None:
-    """An integer solution of m x = b, or None when none exists: V D^-1 U b,
-    from the passes of _smith on [[m, b], [I, 0]], which carry U b, not U."""
-    if not isinstance(m, Matrix):
-        raise TypeError(f"solve_integer needs a Matrix, got {type(m).__name__}")
+    """An integer solution of m x = b, or None when none exists.
+
+    When m has at least as many rows as columns, one forward elimination
+    (_solve) comes first: no rational solution means none, and at full
+    column rank the rational solution is the only one, so the answer is it
+    when it is integral and None otherwise.  Wide and rank-deficient m take
+    V D^-1 U b from the passes of _smith on [[m, b], [I, 0]], which carry
+    U b, not U."""
+    _matrix_needed(m, "solve_integer")
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length mismatch")
     if not m.is_integral or not all(isinstance(_exact(x), int) for x in b):
         raise ValueError("solve_integer needs integer data")
     nrows, ncols = m.nrows, m.ncols
-    a = _smith(m, [[x] for x in vector(b)])
+    b = vector(b)
+    if nrows >= ncols:
+        solved = _solve(m, b)
+        if solved is None:
+            return None
+        y, den, rank_m = solved
+        if rank_m == ncols:
+            return None if any([v % den for v in y]) else tuple([v // den for v in y])
+    a = _smith(m, [[x] for x in b])
     y = [0] * ncols
     for i, row in enumerate(a[:nrows]):
         di, c = row[i] if i < ncols else 0, row[ncols]

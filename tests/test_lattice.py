@@ -461,6 +461,67 @@ class TestSolveInteger:
             assert solve_integer(Matrix(rows), b) == x
 
 
+NON_MATRIX_CALLS = {
+    "rank": (), "det": (), "rref": (), "pivot_columns": (), "kernel_basis": (),
+    "inverse": (), "solve_rational": ((1,),), "smith_normal_form": (), "solve_integer": ((1,),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_MATRIX_CALLS))
+def test_a_non_matrix_is_refused_with_the_same_type_error(name):
+    # rank, det, rref, pivot_columns, kernel_basis, inverse and
+    # solve_rational used to raise AttributeError from deep inside
+    with pytest.raises(TypeError, match=f"^{name} needs a Matrix, got list$"):
+        getattr(lattice, name)([[1]], *NON_MATRIX_CALLS[name])
+
+
+class TestSolveRoute:
+    """A system whose integer answer is unique, m of full column rank, is
+    solved by one forward elimination; only wide and rank-deficient m run
+    the Smith passes, and solve_rational never reduces [m | b]."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+        smith = lattice._smith
+
+        def counted(*args):
+            calls.append(args)
+            return smith(*args)
+
+        monkeypatch.setattr(lattice, "_smith", counted)
+        return calls
+
+    @pytest.mark.parametrize("rows, b, x", [
+        ([[1, 2], [3, 4]], (5, 11), (1, 2)),  # det -2, the last pivot
+        ([[2, 1], [1, 3], [1, 1]], (5, 5, 3), (2, 1)),  # tall, consistent
+        ([[1, 0], [0, 1], [1, 1]], (1, 1, 3), None),  # tall, inconsistent over Q
+        ([[2, 0], [0, 1], [2, 1]], (1, 1, 2), None),  # tall, solvable over Q, not over Z
+    ], ids=["negative-det", "tall", "tall-inconsistent", "tall-rational-only"])
+    def test_full_column_rank_runs_no_smith_pass(self, smith_calls, rows, b, x):
+        assert solve_integer(Matrix(rows), b) == x
+        assert smith_calls == []
+
+    @pytest.mark.parametrize("rows, b", [
+        ([[2, 4, 6]], (4,)),  # wide
+        ([[1, 2], [2, 4]], (3, 6)),  # singular square
+    ], ids=["wide", "singular"])
+    def test_wide_and_rank_deficient_run_one_smith_pass_loop(self, smith_calls, rows, b):
+        x = solve_integer(Matrix(rows), b)
+        assert Matrix(rows).apply(x) == b
+        assert len(smith_calls) == 1
+
+    def test_solve_rational_reduces_nothing(self, monkeypatch):
+        def refused(m):
+            raise AssertionError("rref called")
+
+        monkeypatch.setattr(lattice, "rref", refused)
+        assert solve_rational(Matrix([[1, 2], [3, 4]]), (5, 10)) == (0, Fraction(5, 2))
+        assert solve_rational(Matrix([[2, 0], [0, 1], [2, 1]]), (1, 1, 2)) == (Fraction(1, 2), 1)
+        assert solve_rational(Matrix([[1, 2], [2, 4]]), (3, 6)) == (3, 0)
+        assert solve_rational(Matrix([[1, 0], [0, 1], [1, 1]]), (1, 1, 3)) is None
+
+
 class TestBilinearForm:
     def test_hyperbolic_pairing(self):
         u = BilinearForm.from_rows([[0, 1], [1, 0]])

@@ -513,15 +513,27 @@ def test_solve_integer_solves_a_consistent_system(rows, data):
     assert [row[0] for row in reference_product(rows, [[xi] for xi in x])] == list(b)
 
 
+@st.composite
+def integer_systems(draw):
+    """(rows, b): consistent systems b = m x0 and arbitrary b, most of them
+    inconsistent."""
+    rows = draw(st.one_of(matrices(max_rows=8, max_cols=8), matrices(max_rows=8, square=True)))
+    nrows, ncols = len(rows), len(rows[0])
+    if draw(st.booleans()):
+        return rows, Matrix(rows).apply(draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)))
+    return rows, tuple(draw(st.lists(st.integers(-30, 30), min_size=nrows, max_size=nrows)))
+
+
 @SETTINGS
-@given(st.one_of(matrices(max_rows=8, max_cols=8), matrices(max_rows=8, square=True)), st.data())
-def test_solve_integer_is_read_off_the_smith_normal_form(rows, data):
-    # consistent systems b = m x0 and arbitrary b, most of them inconsistent
+@given(integer_systems())
+@example(([[3]], (7,)))  # 1x1
+@example(([[1, 2], [3, 4]], (5, 11)))  # the last pivot -2
+@example(([[1, 0], [0, 1], [1, 1]], (1, 1, 3)))  # tall, inconsistent over Q
+@example(([[2, 0], [0, 1], [2, 1]], (1, 1, 2)))  # solvable over Q, not over Z
+@example(([[1, 2], [2, 4]], (3, 6)))  # singular square
+def test_solve_integer_is_read_off_the_smith_normal_form(system):
+    rows, b = system
     m = Matrix(rows)
-    if data.draw(st.booleans()):
-        b = m.apply(data.draw(st.lists(st.integers(-9, 9), min_size=m.ncols, max_size=m.ncols)))
-    else:
-        b = tuple(data.draw(st.lists(st.integers(-30, 30), min_size=m.nrows, max_size=m.nrows)))
     u, d, v = smith_normal_form(m)
     c = u.apply(b)
     y = [0] * m.ncols
