@@ -33,7 +33,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import sub
 
 from .lattice import DimensionError, Matrix, Value, _set, as_rational, block_diagonal, pivot_columns, rank, vector
@@ -82,13 +81,10 @@ class CyclicRep(Value):
 
 def norm_operator(rep: CyclicRep) -> Matrix:
     """Sum of all powers of the generator: order / t times the sum of the
-    t powers up to the true order t, added as integer rows over one
-    common denominator taken from each power's cleared rows."""
-    cleared = [p._ints() for p in rep.powers()]
-    d = lcm(*[dp for _, dp, _, _ in cleared])
-    scaled = [rows if dp == d else [[x * (d // dp) for x in row] for row in rows] for rows, dp, _, _ in cleared]
-    total = Matrix._trusted(tuple([tuple([sum(col) for col in zip(*rows)]) for rows in zip(*scaled)]), True)
-    k = Fraction(rep.order // len(cleared), d)
+    t powers up to the true order t."""
+    powers = rep.powers()
+    k = rep.order // len(powers)
+    total = sum(powers[1:], powers[0])
     return total if k == 1 else total.scale(k)
 
 
@@ -99,11 +95,6 @@ def difference_operator(rep: CyclicRep) -> Matrix:
 
 class KerImReport(Value):
     _fields = ("holds", "dim_ker_norm", "rank_difference")
-
-    def __init__(self, holds: bool, dim_ker_norm: int, rank_difference: int):
-        _set(self, "holds", holds)
-        _set(self, "dim_ker_norm", dim_ker_norm)
-        _set(self, "rank_difference", rank_difference)
 
 
 def verify_ker_im(rep: CyclicRep) -> KerImReport:

@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 
 from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, Value, _set, as_rational, solve_rational
+from .lattice import DimensionError, Matrix, Value, as_rational, solve_rational
 from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi
 from .transport import GActionLattice
 
@@ -43,9 +43,7 @@ class GcdCertificate(Value):
             raise ValueError("stated gcd does not match the listed values")
         if free != (gcd == 1):
             raise ValueError("freeness verdict must mean gcd = 1")
-        _set(self, "values", values)
-        _set(self, "gcd", gcd)
-        _set(self, "free", free)
+        super().__init__(values, gcd, free)
 
     @classmethod
     def from_values(cls, values) -> "GcdCertificate":

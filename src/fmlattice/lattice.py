@@ -8,34 +8,39 @@ tuple replaced whole, which a product reads once and checks before use.
 
 The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool: one
-fraction-free elimination (Bareiss), forward for ranks, determinants and
-solutions and Gauss-Jordan for reduced forms (and so kernels and
-inverses), and Smith normal form from Hermite passes.  Only Matrix()
-and from_columns check each entry; identity, zero, diagonal (its values
-pass vector()) and every matrix the kernel computes itself (sums, products,
-negations, transposes, reduced forms, inverses, normal forms) are trusted.
-The eliminations, solvers and Smith normal form refuse a non-Matrix
-argument with one TypeError (_matrix_needed).
+forward fraction-free elimination (Bareiss) and one integer
+back-substitution for ranks, determinants, solutions and reduced forms
+(and so kernels and inverses), and Smith normal form from Hermite
+passes.  Only Matrix() and from_columns check each entry; identity, zero,
+diagonal (its values pass vector()) and every matrix the kernel computes
+itself (sums, products, negations, transposes, reduced forms, inverses,
+normal forms) are trusted.  Elimination, the solvers and Smith normal
+form refuse a non-Matrix argument with one TypeError (_matrix_needed).
 
 There is one way into the integers and one way out: _cleared writes a
 matrix as integer rows over one common denominator d (det divides by d^n
 at the end), and _divided divides ints exactly, to ints where it can and
-Fractions elsewhere, flagging whether all were ints.  Each matrix is
-cleared once: _ints caches its integer rows (tuples, so no elimination
-changes them in place), d, max |entry| and nonzero count for products,
-apply, scale, rref, rank and det.  Smith normal form and integer solving
-share one pass loop on [[m, R], [I, 0]]: row operations on its first
-nrows rows move m and R together, column operations on its first ncols m
-and V; a column pass is a row pass on the transpose.  R = I gives U,
-R = b gives U b alone.  A pass rewrites rows from the pivot column on,
-scans once per Euclid step, and leaves echelon form, so the test that m
-is diagonal reads one slice per row (_hnf, _smith).
+Fractions elsewhere, flagging whether all were ints; _quotient makes the
+divided rows of a product, a scaling or a reduced form a trusted Matrix.
+Each matrix is cleared once: _ints caches its integer rows (tuples, so
+no elimination changes them in place), d, max |entry| and nonzero count
+for products, apply, scale, rref, rank and det.  Smith normal form and
+integer solving share one pass loop on [[m, R], [I, 0]]: row operations
+on its first nrows rows move m and R together, column operations on its
+first ncols m and V; a column pass is a row pass on the transpose.
+R = I gives U, R = b gives U b alone.  A pass rewrites rows from the
+pivot column on, scans once per Euclid step, and leaves echelon form, so
+the test that m is diagonal reads one slice per row (_hnf, _smith).
 
-Solving starts from one forward elimination of [m | b] (_solve): with
-the pivot columns fixed, the solution whose free coordinates are 0 is
-unique, so back-substitution in integers gives it exactly, and it is
-solve_rational's answer.  When m has full column rank that solution is
-the only one, so it is also the integer answer if it is integral;
+Ranks, determinants, solutions and reduced forms start from one forward
+elimination (_eliminate) of m, or of [m | b], cleared to integers.  With
+the pivot columns fixed, the solution of m x = b that is 0 off them is
+unique, and den x is integral, den the last pivot, so one integer
+back-substitution (_back_substitute) gives it exactly: for b,
+solve_rational's answer (_solve); for column j of m, column j of the
+reduced form, whose pivot columns are unit vectors, so rref
+back-substitutes only its free columns.  At full column rank the solution
+is the only one, so it is also the integer answer if integral;
 solve_integer runs the Smith passes only on wide and rank-deficient m.
 
 Products take one of two paths, chosen from the nonzero counts na, nb
@@ -86,9 +91,13 @@ def _exact(x):
 
 
 def as_rational(x) -> Fraction | int:
-    """Parse an exact scalar from an int, Fraction or 'p/q' string."""
+    """Parse an exact scalar from an int, Fraction or 'p/q' string; a zero
+    denominator raises ValueError, as a malformed string does."""
     if isinstance(x, str):
-        return _exact(Fraction(x))
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     return _exact(x)
 
 
@@ -203,11 +212,7 @@ class Matrix:
             if packing is None or packing[0] < bias:
                 packing = other._packed = _packing(b, bias)
             product = _packed_product(a, packing, other.ncols)
-        d = da * db
-        if d == 1:
-            return Matrix._trusted(tuple([tuple(row) for row in product]), True)
-        out = [_divided(row, d) for row in product]
-        return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
+        return _quotient(product, da * db)
 
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
@@ -245,8 +250,7 @@ class Matrix:
     def scale(self, k) -> "Matrix":
         k = Fraction(as_rational(k))
         rows, d, _, _ = self._ints()
-        out = [_divided([k.numerator * x for x in row], d * k.denominator) for row in rows]
-        return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
+        return _quotient([[k.numerator * x for x in row] for row in rows], d * k.denominator)
 
     def __rmul__(self, k) -> "Matrix":
         return self.scale(k)
@@ -369,15 +373,23 @@ def _divided(values, d: int) -> tuple:
     return out, integral
 
 
+def _quotient(rows, d: int) -> Matrix:
+    """The trusted Matrix of the integer rows (lists) divided by d with
+    _divided; when d is 1 they are its rows as they are."""
+    if d == 1:
+        return Matrix._trusted(tuple([tuple(row) for row in rows]), True)
+    out = [_divided(row, d) for row in rows]
+    return Matrix._trusted(tuple([tuple(row) for row, _ in out]), all([ok for _, ok in out]))
+
+
 def det(m: Matrix):
     """Exact determinant: the signed last forward pivot of the rows cleared to d, over d^n."""
     _matrix_needed(m, "det")
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    rows, d, _, _ = m._ints()
-    a = list(rows)
-    pivots, sign = _eliminate(a, False)
-    value = sign * a[-1][-1] if len(pivots) == m.nrows else 0
+    _, pivots, sign, den = _eliminate(m)
+    value = sign * den if len(pivots) == m.nrows else 0
+    d = m._ints()[1]
     return value if d == 1 else _exact(Fraction(value, d ** m.nrows))
 
 
@@ -388,8 +400,7 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise DimensionError("inverse of a non-square matrix")
     n = m.nrows
-    aug = Matrix._trusted(tuple([row + tuple([int(i == j) for j in range(n)])
-                                 for i, row in enumerate(m.entries)]), m.is_integral)
+    aug = Matrix._trusted(tuple(list(map(add, m.entries, Matrix.identity(n).entries))), m.is_integral)
     reduced, pivots = rref(aug)
     # [m | I] has rank n; m is invertible iff its n pivots are all in m.
     if pivots[-1] != n - 1:
@@ -400,44 +411,48 @@ def inverse(m: Matrix) -> Matrix:
 def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form over Q; returns (matrix, pivot columns).
 
-    Gauss-Jordan on the rows cleared to integers leaves all pivots equal;
-    each pivot row is then divided by its pivot.  The reduced form is
-    unique, so this is the same matrix as elimination over Q.
+    Column j holds column j of m in coordinates over the pivot columns:
+    e_k at the k-th pivot column, and at a free column the den x that
+    _back_substitute reads, divided by den at the end.
     """
     _matrix_needed(m, "rref")
-    a = list(m._ints()[0])
-    pivots = _eliminate(a, True)[0]
-    integral = True
-    for i, c in enumerate(pivots):
-        a[i], ok = _divided(a[i], a[i][c])
-        integral = integral and ok
-    return Matrix._trusted(tuple([tuple(row) for row in a]), integral), tuple(pivots)
+    a, pivots, _, den = _eliminate(m)
+    n = m.ncols
+    rows = [[0] * c + [den] + [0] * (n - c - 1) for c in pivots] + [[0] * n] * (m.nrows - len(pivots))
+    for j in range(n):
+        if j not in pivots:
+            y = _back_substitute(a, pivots, den, j, n)
+            for row, c in zip(rows, pivots):
+                row[j] = y[c]
+    return _quotient(rows, den), tuple(pivots)
 
 
 def pivot_columns(m: Matrix) -> tuple:
     """The pivot columns of a row-echelon form of m, from one forward elimination."""
     _matrix_needed(m, "pivot_columns")
-    return tuple(_eliminate(list(m._ints()[0]), False)[0])
+    return tuple(_eliminate(m)[1])
 
 
 def rank(m: Matrix) -> int:
     _matrix_needed(m, "rank")
-    return len(_eliminate(list(m._ints()[0]), False)[0])
+    return len(_eliminate(m)[1])
 
 
-def _eliminate(a, jordan: bool) -> tuple:
-    """Fraction-free elimination of the integer rows a, in place:
-    (pivot columns, sign of the row swaps).  Each row below the pivot p,
-    and with jordan each row above it, becomes (p row - f pivot row) /
-    prev, f its entry in the pivot column and prev the previous pivot;
-    Sylvester's identity makes the division exact (Bareiss, Math. Comp.
-    22, 1968).  Forward, the last pivot at full rank is the determinant
-    up to the sign; with jordan all pivots end equal (Nakos, Turner and
-    Williams, SIGSAM Bull. 31(3), 1997)."""
+def _eliminate(m: Matrix, b=None) -> tuple:
+    """Fraction-free forward elimination of m, or of [m | b], cleared to
+    integer rows: (rows, pivot columns, sign of the row swaps, last pivot).
+    Each row below the pivot p becomes (p row - f pivot row) / prev, f its
+    entry in the pivot column and prev the previous pivot; Sylvester's
+    identity makes the division exact (Bareiss, Math. Comp. 22, 1968).  The
+    last pivot (1 at rank 0) is the minor of the cleared m on the pivot rows
+    and columns, at full rank the determinant up to the sign."""
+    if b is None:
+        a = list(m._ints()[0])
+    else:
+        a = list(_cleared(tuple([row + (x,) for row, x in zip(m.entries, b)]),
+                          m.is_integral and all([type(x) is int for x in b]))[0])
     nrows, ncols = len(a), len(a[0])
-    pivots = []
-    sign = 1
-    prev = 1
+    pivots, sign, prev = [], 1, 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, nrows) if a[i][c]), None)
@@ -448,22 +463,31 @@ def _eliminate(a, jordan: bool) -> tuple:
             sign = -sign
         prow = a[r]
         p = prow[c]
-        for i in range(0 if jordan else r + 1, nrows):
+        for i in range(r + 1, nrows):
             f = a[i][c]
-            if i == r or not (f or p != prev):  # the update would change nothing
+            if not (f or p != prev):  # the update would change nothing
                 continue
-            if jordan:
-                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], prow)]
-            else:  # a row below is zero left of c, so only its tail changes
-                row = a[i] = list(a[i])
-                row[c] = 0
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * p - f * prow[j]) // prev
+            row = a[i] = list(a[i])  # zero left of c, so only its tail changes
+            row[c] = 0
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - f * prow[j]) // prev
         pivots.append(c)
         prev = p
         if r + 1 == nrows:
             break
-    return pivots, sign
+    return a, pivots, sign, prev
+
+
+def _back_substitute(a, pivots, den: int, j: int, n: int) -> list:
+    """den x, for x the solution of m x = (column j of m, or b at j = n)
+    that is 0 off the pivot columns, from the rows a, pivots and last pivot
+    den of _eliminate; n is the width of m.  By Cramer's rule den x is
+    integral, so the division is exact: row k, zero left of its pivot c,
+    gives den x_c from the den x_i already found, i > c."""
+    y = [0] * n
+    for row, c in reversed(list(zip(a, pivots))):
+        y[c] = (den * row[j] - sum(map(mul, row, y))) // row[c]
+    return y
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -498,25 +522,13 @@ def solve_rational(m: Matrix, b) -> tuple | None:
 
 def _solve(m: Matrix, b: tuple) -> tuple | None:
     """(y, den, rank) for m x = b over Q, from one forward elimination of
-    [m | b] cleared to integers, or None when a pivot falls in the b
-    column.  den is the last pivot, the minor of the cleared m on the pivot
-    rows and columns (1 at rank 0), and x = y / den the solution that is 0
-    off the pivot columns.  By Cramer's rule den x is integral, so the
-    back-substitution divides exactly: row k of the echelon form, zero left
-    of its pivot c, gives den x_c from the den x_j already found, j > c."""
+    [m | b], or None when a pivot falls in the b column: y = den x is the
+    back-substitution of the b column."""
     n = m.ncols
-    aug = tuple([row + (x,) for row, x in zip(m.entries, b)])
-    a = list(_cleared(aug, m.is_integral and all([type(x) is int for x in b]))[0])
-    pivots = _eliminate(a, False)[0]
+    a, pivots, _, den = _eliminate(m, b)
     if pivots and pivots[-1] == n:
         return None
-    r = len(pivots)
-    den = a[r - 1][pivots[-1]] if r else 1
-    y = [0] * n
-    for k in reversed(range(r)):
-        row, c = a[k], pivots[k]
-        y[c] = (den * row[n] - sum(map(mul, row, y))) // row[c]
-    return y, den, r
+    return _back_substitute(a, pivots, den, n, n), den, len(pivots)
 
 
 def _hnf(a, nrows: int, ncols: int) -> None:

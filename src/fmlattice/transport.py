@@ -174,9 +174,7 @@ class DescentOutcome(Value):
     _fields = ("isometry", "failure", "witness")
 
     def __init__(self, isometry: LatticeIsometry | None, failure: str | None = None, witness: tuple | None = None):
-        _set(self, "isometry", isometry)
-        _set(self, "failure", failure)
-        _set(self, "witness", witness)
+        super().__init__(isometry, failure, witness)
 
     def __bool__(self) -> bool:
         return self.isometry is not None

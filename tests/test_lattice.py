@@ -21,6 +21,7 @@ from fmlattice.lattice import (
     solve_integer,
     solve_rational,
 )
+from fmlattice.surfaces import ExtendedVector
 
 
 def random_int_matrix(rng, nrows, ncols, bound=9):
@@ -473,6 +474,17 @@ def test_a_non_matrix_is_refused_with_the_same_type_error(name):
     # solve_rational used to raise AttributeError from deep inside
     with pytest.raises(TypeError, match=f"^{name} needs a Matrix, got list$"):
         getattr(lattice, name)([[1]], *NON_MATRIX_CALLS[name])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lattice.as_rational("1/0"),
+    lambda: ExtendedVector(1, (), "1/0"),
+    lambda: Matrix([[1]]).scale("1/0"),
+], ids=["as_rational", "ExtendedVector", "scale"])
+def test_a_zero_denominator_is_a_value_error_naming_the_text(call):
+    # Fraction("1/0") raises ZeroDivisionError, which used to escape
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        call()
 
 
 class TestSolveRoute:

@@ -176,6 +176,18 @@ def matrices(draw, rational=False, max_rows=8, max_cols=12, square=False):
     entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
     if rational:
         entry = st.builds(Fraction, entry, st.integers(1, 12))
+    if draw(st.integers(0, 3)) == 3:
+        # already reduced, each pivot row scaled by some k != 1, zero rows last
+        scale = st.integers(-9, 9)
+        if rational:
+            scale = st.builds(Fraction, scale, st.integers(1, 12))
+        scale = scale.filter(lambda k: k not in (0, 1))
+        pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=min(nrows, ncols))))
+        rows = []
+        for c in pivots:
+            k = draw(scale)
+            rows.append([0] * c + [k] + [0 if j in pivots else k * draw(entry) for j in range(c + 1, ncols)])
+        return rows + [[0] * ncols for _ in range(nrows - len(pivots))]
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     # rank deficiency: some rows become combinations of two earlier ones
