@@ -16,10 +16,10 @@ CyclicRep is the one cyclic-action type (transport.GActionLattice is a
 CyclicRep of an extended lattice).  Its stated order n, at most
 MAX_ORDER, is checked once, by the power g^n = 1; loops run to the true
 order t, the first k >= 1 with g^k = 1, which divides n and, for finite
-order over Q, is bounded in terms of the dimension.  N is n/t times the
-sum S of powers(), and N B = B N = 0 is never multiplied out: it is the
-telescoping identity (1 - g) S = S (1 - g) = 1 - g^t with g^t = 1, and
-rank N is tr(S)/t, the rank of the idempotent S/t (see verify_ker_im).
+order over Q, is bounded in terms of the dimension.  N B = B N = 0 is
+never multiplied out, as it telescopes.  rank N = tr N / n, N/n being
+idempotent; tr g^(a+b) = sum_il (g^a)_il (g^b)_li, an O(d^2) pairing; and
+tr g^(n-k) = tr g^k: so verify_ker_im builds no power past g^ceil(n/4).
 
 Everything is done over the exact rationals.  The kernel/image identity
 for a matrix with rational entries is independent of the field extension,
@@ -33,9 +33,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import mul, sub
 
-from .lattice import DimensionError, Matrix, Value, _set, as_rational, block_diagonal, pivot_columns, rank, vector
+from .lattice import (DimensionError, Matrix, Value, _matrix_needed, _set, as_rational, block_diagonal, pivot_columns,
+                      rank, vector)
 from .surfaces import InvariantError
 
 
@@ -53,6 +54,7 @@ class CyclicRep(Value):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
             _set(self, name, value)
+        _matrix_needed(gen, type(self).__name__)
         _set(self, "gen", gen)
         self.__post_init__()  # through self: GActionLattice's checks more, timed by bench/tracing.py
 
@@ -104,14 +106,36 @@ def verify_ker_im(rep: CyclicRep) -> KerImReport:
     powers, (1 - g) S = S (1 - g) = 1 - g^t telescopes for any square g,
     and g^t = 1, compared exactly by powers() when t < n and by the
     CyclicRep gate when t = n; N = (n/t) S.  So im B lies in ker N, and
-    they are equal exactly when dim ker N = rank B.  And g S = S + g^t - 1
-    = S, so S^2 = t S: S/t is idempotent, and rank N = rank(S/t) = tr(S)/t
-    exactly (an idempotent's rank is its trace), with no elimination on N.
+    they are equal exactly when dim ker N = rank B, the one elimination.
+    rank N is tr N / n, as g N = N makes N/n idempotent.  tr g^(a+b) is
+    the O(d^2) pairing sum_il (g^a)_il (g^b)_li, not an O(d^3) product.
+    tr g^(n-k) = tr g^k: Q = sum_(k<n) (g^k)^T g^k is positive definite
+    and g^T Q g = Q, so g^-1 = Q^-1 g^T Q is similar to g^T.  So tr N =
+    d + 2 sum_(1<=k<n/2) tr g^k + [n even] tr g^(n/2), from g^0 .. g^m,
+    m = ceil(floor(n/2)/2); a power g^t = 1 on the way is the true order,
+    over which the same sum runs.
     """
-    powers = rep.powers()
-    dim_ker = rep.dim - sum([row[i] for p in powers for i, row in enumerate(p.entries)]) // len(powers)
-    rank_b = rank(difference_operator(rep))
+    n, d = rep.order, rep.dim
+    powers = [Matrix.identity(d)]  # g^0 .. g^m
+    for k in range(1, (n // 2 + 1) // 2 + 1):
+        powers.append(rep.gen if k == 1 else powers[-1] @ rep.gen)
+        if powers[k] == powers[0]:
+            n = k  # the true order t: N = (n/t) S, and S is the N of t
+            break
+    m, half = len(powers) - 1, n // 2
+    traces = [sum([row[i] for i, row in enumerate(p.entries)]) for p in powers]
+    traces += [_pairing(powers[m], powers[k - m]) for k in range(m + 1, half + 1)]
+    trace = d + 2 * sum(traces[1:(n + 1) // 2]) + (0 if n % 2 else traces[half])
+    if trace % n:
+        raise ArithmeticError(f"tr N = {trace} is not a multiple of the order {n}")
+    dim_ker, rank_b = d - trace // n, rank(difference_operator(rep))
     return KerImReport(dim_ker == rank_b, dim_ker, rank_b)
+
+
+def _pairing(a: Matrix, b: Matrix):
+    """tr(a b) = sum_il a_il b_li over the cleared integer rows of a and b."""
+    (ra, da), (rb, db) = a._ints(), b._ints()
+    return Fraction(sum([sum(map(mul, row, column)) for row, column in zip(ra, zip(*rb))]), da * db)
 
 
 def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
@@ -188,13 +212,9 @@ def _polydiv_exact(num, den):
 
 
 def _companion(poly) -> Matrix:
+    """Ones below the diagonal and -poly[:-1] down the last column."""
     deg = len(poly) - 1
-    rows = [[0] * deg for _ in range(deg)]
-    for i in range(1, deg):
-        rows[i][i - 1] = 1
-    for i in range(deg):
-        rows[i][deg - 1] = -poly[i]
-    return Matrix(rows)
+    return Matrix([[int(i == j + 1) for j in range(deg - 1)] + [-poly[i]] for i in range(deg)])
 
 
 def _cycle_matrix(k: int) -> Matrix:

@@ -2,9 +2,9 @@
 
 Everything in this package runs on arbitrary-precision exact arithmetic:
 matrix entries are Python ints or ``fractions.Fraction``, never floats.
-Matrices are immutable values, safe in concurrent code without locks: of
-their two caches, _ints is filled with one value, and _packed (below) is one
-tuple replaced whole, which a product reads once and checks before use.
+Matrices are immutable values, safe in concurrent code without locks:
+the caches _ints and _sizes are filled with one value each, and _packed
+(below) is one tuple replaced whole, read once and checked by a product.
 
 The intended scale is tiny by linear-algebra standards (lattice ranks up
 to ~24), which is why the classical algorithms are the right tool: one
@@ -14,17 +14,18 @@ back-substitution for ranks, determinants, solutions and reduced forms
 passes.  Only Matrix() and from_columns check each entry; identity, zero,
 diagonal (its values pass vector()) and every matrix the kernel computes
 itself (sums, products, negations, transposes, reduced forms, inverses,
-normal forms) are trusted.  Elimination, the solvers and Smith normal
-form refuse a non-Matrix argument with one TypeError (_matrix_needed).
+normal forms) are trusted.  Elimination, the solvers, Smith normal form
+and the value types built on a Matrix refuse any other argument with one
+TypeError (_matrix_needed).
 
 There is one way into the integers and one way out: _cleared writes a
 matrix as integer rows over one common denominator d (det divides by d^n
 at the end), and _divided divides ints exactly, to ints where it can and
 Fractions elsewhere, flagging whether all were ints; _quotient makes the
-divided rows of a product, a scaling or a reduced form a trusted Matrix.
-Each matrix is cleared once: _ints caches its integer rows (tuples, so
-no elimination changes them in place), d, max |entry| and nonzero count
-for products, apply, scale, rref, rank and det.  Smith normal form and
+divided rows of a product or a scaling a trusted Matrix.  Each matrix
+is cleared once: _ints caches its integer rows (tuples, so no
+elimination changes them in place) and d; _sizes, read by products only,
+caches their max |entry| and nonzero count.  Smith normal form and
 integer solving share one pass loop on [[m, R], [I, 0]]: row operations
 on its first nrows rows move m and R together, column operations on its
 first ncols m and V; a column pass is a row pass on the transpose.
@@ -44,7 +45,7 @@ is the only one, so it is also the integer answer if integral;
 solve_integer runs the Smith passes only on wide and rank-deficient m.
 
 Products take one of two paths, chosen from the nonzero counts na, nb
-that _ints caches.  For A m x k and B k x p, the row-wise product over
+that _sizes caches.  For A m x k and B k x p, the row-wise product over
 nonzeros (F. G. Gustavson, ACM TOMS 4(3), 1978) makes about na nb / k
 multiply-adds and runs when that is at most two per product entry, na nb
 <= 2 k m p, as on reflection words, permutations, Gram matrices and
@@ -114,7 +115,7 @@ def dot(u, v):
 class Matrix:
     """An immutable matrix with exact (int / Fraction) entries."""
 
-    __slots__ = ("nrows", "ncols", "_e", "_integral", "_int", "_packed")
+    __slots__ = ("nrows", "ncols", "_e", "_integral", "_int", "_size", "_packed")
 
     def __init__(self, rows):
         data = tuple([tuple([_exact(x) for x in row]) for row in rows])
@@ -127,7 +128,7 @@ class Matrix:
         self.ncols = width
         self._e = data
         self._integral = all(isinstance(x, int) for row in data for x in row)
-        self._int = self._packed = None
+        self._int = self._size = self._packed = None
 
     @classmethod
     def _trusted(cls, rows, integral: bool) -> "Matrix":
@@ -141,16 +142,21 @@ class Matrix:
         m.ncols = len(rows[0])
         m._e = rows
         m._integral = integral
-        m._int = m._packed = None
+        m._int = m._size = m._packed = None
         return m
 
     def _ints(self) -> tuple:
-        """(rows, d, max |entry|, nonzero count) of _cleared, filled once;
-        racing threads store equal values.  Products read the last two."""
+        """(rows, d) of _cleared, filled once; racing threads store equal values."""
         if self._int is None:
-            rows, d = _cleared(self._e, self._integral)
-            self._int = (rows, d) + _sizes(rows)
+            self._int = _cleared(self._e, self._integral)
         return self._int
+
+    def _sizes(self) -> tuple:
+        """(max |entry|, nonzero count) of the rows of _ints, filled once; only products read it."""
+        if self._size is None:
+            nonzero = list(filter(None, chain.from_iterable(self._ints()[0])))
+            self._size = (max(max(nonzero), -min(nonzero)) if nonzero else 0), len(nonzero)
+        return self._size
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -203,8 +209,8 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        a, da, ma, na = self._ints()
-        b, db, mb, nb = other._ints()
+        (a, da), (ma, na) = self._ints(), self._sizes()
+        (b, db), (mb, nb) = other._ints(), other._sizes()
         if na * nb <= 2 * self.ncols * self.nrows * other.ncols:  # at most 2 multiply-adds an entry
             product = _sparse_product(a, b, other.ncols)
         else:
@@ -217,7 +223,7 @@ class Matrix:
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise DimensionError(f"vector of length {len(v)} against {self.nrows}x{self.ncols}")
-        rows, d, _, _ = self._ints()
+        rows, d = self._ints()
         if not all(type(x) is int for x in v):
             v = vector(v)  # Fractions of denominator 1 become ints: most vectors need no clearing
             if not all(type(x) is int for x in v):
@@ -249,7 +255,7 @@ class Matrix:
 
     def scale(self, k) -> "Matrix":
         k = Fraction(as_rational(k))
-        rows, d, _, _ = self._ints()
+        rows, d = self._ints()
         return _quotient([[k.numerator * x for x in row] for row in rows], d * k.denominator)
 
     def __rmul__(self, k) -> "Matrix":
@@ -285,6 +291,8 @@ class Matrix:
 
 def block_diagonal(blocks) -> Matrix:
     blocks = list(blocks)
+    for b in blocks:
+        _matrix_needed(b, "block_diagonal")
     m = sum(b.ncols for b in blocks)
     rows, j0 = [], 0
     for b in blocks:
@@ -300,12 +308,6 @@ def _cleared(rows, integral: bool) -> tuple:
         return rows, 1
     d = lcm(*[x.denominator for row in rows for x in row])
     return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows]), d
-
-
-def _sizes(rows) -> tuple:
-    """max |entry| and the number of nonzero entries of integer rows."""
-    nonzero = list(filter(None, chain.from_iterable(rows)))
-    return max(map(abs, nonzero), default=0), len(nonzero)
 
 
 def _sparse_product(a, b, p: int) -> list:
@@ -412,19 +414,20 @@ def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form over Q; returns (matrix, pivot columns).
 
     Column j holds column j of m in coordinates over the pivot columns:
-    e_k at the k-th pivot column, and at a free column the den x that
-    _back_substitute reads, divided by den at the end.
+    e_k at the k-th pivot column, written as it is, and at a free column
+    the den x that _back_substitute reads, divided by den.
     """
     _matrix_needed(m, "rref")
     a, pivots, _, den = _eliminate(m)
     n = m.ncols
-    rows = [[0] * c + [den] + [0] * (n - c - 1) for c in pivots] + [[0] * n] * (m.nrows - len(pivots))
+    rows = [[0] * c + [1] + [0] * (n - c - 1) for c in pivots] + [[0] * n] * (m.nrows - len(pivots))
     for j in range(n):
         if j not in pivots:
             y = _back_substitute(a, pivots, den, j, n)
-            for row, c in zip(rows, pivots):
-                row[j] = y[c]
-    return _quotient(rows, den), tuple(pivots)
+            for row, x in zip(rows, _divided([y[c] for c in pivots], den)[0]):
+                row[j] = x
+    rows = tuple([tuple(row) for row in rows])
+    return Matrix._trusted(rows, all([type(x) is int for row in rows for x in row])), tuple(pivots)
 
 
 def pivot_columns(m: Matrix) -> tuple:
@@ -716,6 +719,7 @@ class BilinearForm(Value):
     _fields = ("dim", "gram")
 
     def __init__(self, dim: int, gram: Matrix):
+        _matrix_needed(gram, "BilinearForm")
         dim = as_rational(dim)  # bools and floats raise TypeError
         if not (gram.is_square and gram.nrows == dim and dim >= 1):
             raise DimensionError("Gram matrix does not match the stated dimension")

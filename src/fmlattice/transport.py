@@ -41,7 +41,7 @@ from math import gcd
 
 from .averaging import CyclicRep
 from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, Value, _set, as_rational, kernel_basis
+from .lattice import DimensionError, Matrix, Value, _matrix_needed, _set, as_rational, kernel_basis
 from .surfaces import InvariantError, NumericalSurface
 
 
@@ -75,6 +75,7 @@ class LatticeIsometry(Value):
     def __init__(self, source: NumericalSurface, target: NumericalSurface, mat: Matrix):
         _set(self, "source", source)
         _set(self, "target", target)
+        _matrix_needed(mat, "LatticeIsometry")
         _set(self, "mat", mat)
         self.__post_init__()  # through self: bench/tracing.py replaces it to time it
 

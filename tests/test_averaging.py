@@ -8,6 +8,7 @@ from fmlattice import averaging
 from fmlattice.averaging import (
     MAX_ORDER,
     CyclicRep,
+    KerImReport,
     descend_invariant,
     difference_operator,
     norm_operator,
@@ -126,6 +127,55 @@ class TestKerIm:
         report = verify_ker_im(rep)
         assert calls == {"norm_operator": 0, "rank": 1}
         assert report.dim_ker_norm == rep.dim - rank(norm_operator(rep))
+
+    @pytest.mark.parametrize("rep", [regular_rep(n) for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 13)]
+                             + [random_rep(random.Random(seed), max_order=(12, 60, 1000)[seed % 3], max_dim=12)
+                                for seed in range(12)],
+                             ids=[f"regular{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 13)]
+                             + [f"random{seed}" for seed in range(12)])
+    def test_products_stop_at_a_quarter_of_the_order(self, monkeypatch, rep):
+        # tr N pairs powers up to g^m, m = ceil(floor(n/2)/2), and folds
+        # tr g^(n-k) = tr g^k; a power equal to 1 stops the chain at the
+        # true order t, so it never makes more than the t - 1 of powers()
+        t, n = len(rep.powers()), rep.order
+        m = (n // 2 + 1) // 2
+        products = 0
+        matmul = Matrix.__matmul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        report = verify_ker_im(rep)
+        assert products <= max(t - 1, 0)
+        assert products <= max(min(t, m) - 1, 0)  # m - 1 when t = n
+        assert report.holds
+
+    @pytest.mark.parametrize("order, rows, dim_ker", [
+        (1, [[1, 0], [0, 1]], 0),  # n = 1: no power at all, tr N = d = rank N
+        (2, [[0, 1], [1, 0]], 1),  # n = 2: tr N = d + tr g^(n/2) = 2 + 0
+        (2, [[-1]], 1),  # tr N = 1 - 1 = 0
+        (3, [[0, -1], [1, -1]], 2),  # n = 3: tr N = d + 2 tr g = 2 - 2 = 0
+        (3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]], 2),  # 3 + 2 * 0 = 3, rank N = 1
+        (4, [[0, -1], [1, 0]], 2),  # n = 4: tr N = d + 2 tr g + tr g^2, g^2 paired from g, g: 2 + 0 - 2
+        (4, [[1, 0], [0, -1]], 1),  # true order 2 > m = 1: tr g^2 = 2 by pairing, tr N = 2 + 0 + 2 = 4
+        (4, [[0, Fraction(-1, 2)], [2, 0]], 2),  # rational, tr g^2 = -2 from the cleared rows over 2 * 2
+        (4, [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 3),  # 4 + 2 * 0 + 0 = 4, rank N = 1
+    ])
+    def test_hand_derived_traces_at_the_edges_of_the_symmetric_sum(self, order, rows, dim_ker):
+        rep = CyclicRep(order, len(rows), Matrix(rows))
+        assert verify_ker_im(rep) == KerImReport(True, dim_ker, dim_ker)
+        assert dim_ker == rep.dim - rank(norm_operator(rep))
+
+    def test_a_trace_that_is_not_a_multiple_of_the_order_raises(self, monkeypatch):
+        # tr N / n is an integer for every representation; a wrong pairing
+        # must not round to a rank
+        rep = CyclicRep(4, 2, Matrix([[0, -1], [1, 0]]))
+        monkeypatch.setattr(averaging, "_pairing", lambda a, b: 1)
+        with pytest.raises(ArithmeticError, match="^tr N = 3 is not a multiple of the order 4$"):
+            verify_ker_im(rep)
 
     def test_explicit_membership_small(self):
         from fmlattice.lattice import kernel_basis, solve_rational

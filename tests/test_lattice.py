@@ -226,6 +226,16 @@ class TestMatrixBasics:
             assert not any(t.is_alive() for t in threads)
             assert len(results) == 8 and all(r == expected for r in results)
 
+    def test_only_products_read_the_entry_sizes(self):
+        # max |entry| and the nonzero count size the packed slots and pick
+        # the product path; eliminating, applying or scaling never scans for them
+        m = Matrix([[Fraction(1, 2), -3], [0, 5]])
+        rank(m), det(m), rref(m), m.apply((1, 1)), m.scale(2)
+        assert m._ints() == (((1, -6), (0, 10)), 2) and m._size is None
+        assert m @ m == Matrix([[Fraction(1, 4), Fraction(-33, 2)], [0, 25]])
+        assert m._sizes() == (10, 3)
+        assert Matrix.zero(2, 3)._sizes() == (0, 0)
+
 
 class TestDetInverse:
     def test_det_known(self):
@@ -251,6 +261,20 @@ class TestDetInverse:
 
 
 class TestKernelAndSolve:
+    def test_rref_divides_only_its_free_columns(self, monkeypatch):
+        # pivot columns are unit vectors, written as they are; only the
+        # free columns' back-substituted den x are divided by den
+        divided = []
+        monkeypatch.setattr(lattice, "_divided",
+                            lambda values, d, f=lattice._divided: divided.append(len(values)) or f(values, d))
+        reduced, pivots = rref(Matrix([[2, 4, 1, 3], [6, 3, 0, 1], [8, 7, 1, 4]]))
+        assert pivots == (0, 1)
+        assert reduced == Matrix([[1, 0, Fraction(-1, 6), Fraction(-5, 18)],
+                                  [0, 1, Fraction(1, 3), Fraction(8, 9)], [0, 0, 0, 0]])
+        assert divided == [2, 2] and not reduced.is_integral
+        reduced, _ = rref(Matrix([[2, 4], [1, 3]]))
+        assert reduced == Matrix.identity(2) and reduced.is_integral
+
     def test_kernel_identity_empty(self):
         assert kernel_basis(Matrix.identity(3)) == []
 

@@ -615,6 +615,20 @@ def test_dim_ker_norm_is_dim_minus_rank(rep):
 
 
 @SETTINGS
+@given(st.integers(0, 2**32), st.sampled_from([12, 60, 1000]), st.integers(1, 8))
+def test_ker_im_from_traces_matches_the_power_chain(seed, max_order, max_dim):
+    # random_rep draws integral generators and, one time in four, rational
+    # ones; the reference is the whole chain powers() and the eliminated N
+    rep = random_rep(random.Random(seed), max_order=max_order, max_dim=max_dim)
+    powers = rep.powers()
+    trace = sum([p[i, i] for p in powers for i in range(rep.dim)], Fraction(0))
+    report = verify_ker_im(rep)
+    assert report.dim_ker_norm == rep.dim - trace / len(powers) == rep.dim - rank(norm_operator(rep))
+    assert report.rank_difference == rank(difference_operator(rep))
+    assert report.holds and type(report.dim_ker_norm) is int
+
+
+@SETTINGS
 @given(reps, st.data())
 def test_descend_invariant_on_orbit_spans(rep, data):
     s = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rep.dim, max_size=rep.dim)))

@@ -17,7 +17,7 @@ from fmlattice.catalog import Catalog, ReproCheck, ReproReport, builtin_catalog
 from fmlattice.covers import CoverCheck, CoverTransfer, CoverValidation, degree_identity
 from fmlattice.defsio import CatalogEntry, VectorEntry
 from fmlattice.descent import GcdCertificate, ObstructionReport, divisibility_obstruction, freeness_gcd
-from fmlattice.lattice import BilinearForm, Matrix
+from fmlattice.lattice import BilinearForm, Matrix, block_diagonal
 from fmlattice.surfaces import ExtendedVector, NumericalSurface
 from fmlattice.transport import (
     DescentOutcome,
@@ -159,3 +159,17 @@ def test_validation_is_one_replaceable_class_attribute(monkeypatch, cls, build):
     assert calls == [value]
     build()
     assert len(calls) == 2
+
+
+# A list where a Matrix belongs used to end in AttributeError ('list'
+# object has no attribute 'is_square', 'nrows', 'T' or 'ncols').
+@pytest.mark.parametrize("name, build", [
+    ("CyclicRep", lambda: CyclicRep(3, 2, [[0, -1], [1, -1]])),
+    ("GActionLattice", lambda: GActionLattice(SWAP.surface, 2, [[1]])),
+    ("LatticeIsometry", lambda: LatticeIsometry(K3, K3, [list(row) for row in Matrix.identity(4).entries])),
+    ("BilinearForm", lambda: BilinearForm(1, [[1]])),
+    ("block_diagonal", lambda: block_diagonal([[[1]]])),
+])
+def test_a_non_matrix_argument_is_the_shared_type_error(name, build):
+    with pytest.raises(TypeError, match=f"^{name} needs a Matrix, got list$"):
+        build()
