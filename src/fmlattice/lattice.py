@@ -103,6 +103,9 @@ def as_rational(x) -> Fraction | int:
 
 
 def vector(entries) -> tuple:
+    """The entries as ints and Fractions; an all-int tuple comes back as it is."""
+    if type(entries) is tuple and all([type(x) is int for x in entries]):
+        return entries
     return tuple([_exact(x) for x in entries])
 
 

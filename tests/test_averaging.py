@@ -258,6 +258,41 @@ class TestDescendInvariant:
         with pytest.raises(ValueError, match="B s"):
             descend_invariant(rep, [(1, 1)], (1, 0))
 
+    @staticmethod
+    def counted_eliminations(monkeypatch):
+        calls = []
+        pivot_columns = averaging.pivot_columns
+        monkeypatch.setattr(averaging, "pivot_columns", lambda m: calls.append(m) or pivot_columns(m))
+        return calls
+
+    def test_one_image_a_spanning_vector_and_one_outside_is_not_stable(self, monkeypatch):
+        # g e0 = e1 is a spanning vector and left out; g e1 = e2 leaves the span
+        calls = self.counted_eliminations(monkeypatch)
+        with pytest.raises(ValueError, match="^subspace is not stable under the group generator$"):
+            descend_invariant(regular_rep(3), [(1, 0, 0), (0, 1, 0)], (1, 0, 0))
+        assert [m.ncols for m in calls] == [4]  # [S | g e1 | B s], B s = e0 - e1 not being a spanning vector
+
+    def test_stable_span_that_misses_b_s(self, monkeypatch):
+        # the 4-cycle swaps e0 + e2 and e1 + e3, so only B s = e0 - e1 is eliminated
+        calls = self.counted_eliminations(monkeypatch)
+        with pytest.raises(ValueError, match="^B s does not lie in the subspace$"):
+            descend_invariant(regular_rep(4), [(1, 0, 1, 0), (0, 1, 0, 1)], (1, 0, 0, 0))
+        assert [m.ncols for m in calls] == [3]
+
+    def test_orbit_span_of_b_s_runs_no_elimination(self, monkeypatch):
+        # B e0 = e0 - e1, and g permutes e0 - e1, e1 - e2, e2 - e0
+        calls = self.counted_eliminations(monkeypatch)
+        orbit = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
+        assert descend_invariant(regular_rep(3), orbit, (1, 0, 0)) == (Fraction(1, 3),) * 3
+        assert calls == []
+
+    def test_an_image_in_the_span_but_not_spanning_is_eliminated(self, monkeypatch):
+        # g (e1 - e2) = e2 - e0 = -(e0 - e1) - (e1 - e2): no pivot, so the
+        # average; B s = e0 - e1 is a spanning vector and left out
+        calls = self.counted_eliminations(monkeypatch)
+        assert descend_invariant(regular_rep(3), [(1, -1, 0), (0, 1, -1)], (2, 1, 1)) == (Fraction(4, 3),) * 3
+        assert [m.ncols for m in calls] == [3]
+
 
 class TestConstruction:
     def test_rejects_wrong_order(self):
@@ -336,6 +371,30 @@ class TestConstruction:
                 random_rep(rng, max_order=max_order, max_dim=max_dim)
             assert rng.getstate() == state
         assert random_rep(random.Random(0), max_order=MAX_ORDER, max_dim=1).dim == 1
+
+    def test_random_rep_reads_its_bounds_as_cyclic_rep_does(self):
+        # bools and floats never reach randrange; whole Fractions draw as ints
+        rng = random.Random(0)
+        state = rng.getstate()
+        for max_order, max_dim in ((True, 3), (12, True), (12.0, 3), (12, 3.0)):
+            with pytest.raises(TypeError):
+                random_rep(rng, max_order, max_dim)
+        for max_order, max_dim in ((Fraction(25, 2), 3), (12, Fraction(7, 2))):
+            with pytest.raises(ValueError, match="^random_rep needs integer max_order and max_dim$"):
+                random_rep(rng, max_order, max_dim)
+        assert rng.getstate() == state
+        assert random_rep(rng, Fraction(24, 2), Fraction(3)) == random_rep(random.Random(0), 12, 3)
+
+    def test_random_rep_refuses_max_dim_above_its_ceiling(self):
+        # the change of basis is dense, so a ceiling keeps one call's memory bounded
+        assert averaging.MAX_RANDOM_DIM >= 64
+        for max_dim in (averaging.MAX_RANDOM_DIM + 1, 10**12):
+            rng = random.Random(0)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=f"^random_rep needs max_dim <= {averaging.MAX_RANDOM_DIM}$"):
+                random_rep(rng, max_order=12, max_dim=max_dim)
+            assert rng.getstate() == state
+        assert random_rep(random.Random(0), max_order=2, max_dim=averaging.MAX_RANDOM_DIM).dim >= 1
 
     def test_one_fill_pass_builds_one_block(self, monkeypatch):
         # the candidates are (builder, argument) pairs: only the drawn one is built

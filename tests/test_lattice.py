@@ -54,6 +54,16 @@ class TestMatrixBasics:
         assert a @ b == Matrix([[2, 1], [4, 3]])
         assert a.apply((1, 1)) == (3, 7)
 
+    def test_vector_returns_an_all_int_tuple_as_it_is(self):
+        v = (1, -2, 10**30)
+        assert lattice.vector(v) is v
+        assert lattice.vector([1, 2]) == (1, 2)
+        w = lattice.vector((1, Fraction(4, 2), Fraction(1, 2)))
+        assert w == (1, 2, Fraction(1, 2)) and type(w[1]) is int
+        for bad in ((1, True), (1, 2.0)):
+            with pytest.raises(TypeError):
+                lattice.vector(bad)
+
     def test_shapes_are_checked(self):
         a = Matrix([[1, 2]])
         with pytest.raises(DimensionError):

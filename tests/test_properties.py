@@ -677,6 +677,66 @@ def test_not_stable_is_reported_before_b_s_outside(rep, data):
         descend_invariant(rep, [v], s)
 
 
+def reference_apply(rows, v):
+    """rows times v over Fraction, whole entries as ints."""
+    out = [sum([Fraction(x) * y for x, y in zip(row, v)], Fraction(0)) for row in rows]
+    return tuple([x.numerator if x.denominator == 1 else x for x in out])
+
+
+def reference_descend(rep, span, s):
+    """descend_invariant's value, or its (exception type, message), from
+    in_span and the cyclic average over the stated order."""
+    rows = rep.gen.entries
+    bs = tuple([a - b for a, b in zip(s, reference_apply(rows, s))])
+    if not all(in_span(span, reference_apply(rows, v)) for v in span):
+        return ValueError, "subspace is not stable under the group generator"
+    if not (in_span(span, bs) if span else not any(bs)):
+        return ValueError, "B s does not lie in the subspace"
+    total, v = [Fraction(0)] * rep.dim, s
+    for _ in range(rep.order):
+        total = [a + b for a, b in zip(total, v)]
+        v = reference_apply(rows, v)
+    return tuple([x / rep.order for x in total])
+
+
+@SETTINGS
+@given(reps, st.sampled_from(["truncated", "two orbits", "one dropped", "another orbit", "invariant"]), st.data())
+def test_descend_invariant_on_spans_partly_closed_under_g(rep, kind, data):
+    # images of spanning vectors that are spanning vectors themselves are
+    # left out of the elimination; the others must still decide the answer.
+    # A whole orbit of B s less one vector still spans B s, which is minus
+    # the sum of the rest; the orbit of another vector may not, and
+    # invariant vectors (orbit sums) span B s only when it is 0.
+    vec = st.lists(st.integers(-4, 4), min_size=rep.dim, max_size=rep.dim).map(tuple)
+    s, rows, n = data.draw(vec), rep.gen.entries, rep.order
+
+    def orbit(v, length):
+        out = []
+        for _ in range(length):
+            out.append(v)
+            v = reference_apply(rows, v)
+        return out
+
+    bs = tuple([a - b for a, b in zip(s, reference_apply(rows, s))])
+    if kind == "one dropped":
+        span = orbit(bs, n)
+        del span[data.draw(st.integers(0, n - 1))]
+    elif kind == "another orbit":
+        span = orbit(data.draw(vec), n)
+    elif kind == "invariant":
+        span = [tuple(map(sum, zip(*orbit(data.draw(vec), n)))) for _ in range(data.draw(st.integers(1, 2)))]
+    else:
+        span = orbit(bs, data.draw(st.integers(1, n)))
+        if kind == "two orbits":
+            span += orbit(data.draw(vec), n)
+    try:
+        got = descend_invariant(rep, span, s)
+        assert normalised(got)
+    except ValueError as exc:
+        got = type(exc), str(exc)
+    assert got == reference_descend(rep, span, s)
+
+
 CATALOG = builtin_catalog()
 
 
