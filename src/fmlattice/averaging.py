@@ -10,10 +10,10 @@ of N equals the image of B; verify_ker_im certifies it.  Descent of
 invariant morphisms needs only telescoping: if V is g-stable and B s lies
 in V, then s - g^j s = sum_(i<j) g^i B s lies in V, and so does s - t for
 the cyclic average t = (1/n) N s, an invariant representative of s modulo
-V.  descend_invariant returns t after one forward elimination of the
-images g v and B s that are not already spanning vectors of V; on a span
-closed under g, such as the orbit of B s (all 240 inputs of the
-benchmark's averaging workload), none is left and nothing is eliminated.
+V.  descend_invariant runs the orbit of s in integers, on G = den g, and
+reads g's images on the orbit of B s off it: on all 240 spans of the
+averaging benchmark, each an orbit of B s (43 of the 240 generators are
+rational at seed 1), it makes no product and eliminates nothing.
 
 CyclicRep is the one cyclic-action type (transport.GActionLattice is a
 CyclicRep of an extended lattice).  Its stated order n, at most
@@ -22,7 +22,7 @@ order t, the first k >= 1 with g^k = 1, which divides n and, for finite
 order over Q, is bounded in terms of the dimension.  N B = B N = 0 is
 never multiplied out, as it telescopes.  rank N = tr N / n, N/n being
 idempotent; tr g^(a+b) = sum_il (g^a)_il (g^b)_li, an O(d^2) pairing; and
-tr g^(n-k) = tr g^k: so verify_ker_im builds no power past g^ceil(n/4).
+tr g^(n-k) = tr g^k: so verify_ker_im builds no power of G past G^ceil(n/4).
 
 Everything is done over the exact rationals.  The kernel/image identity
 for a matrix with rational entries is independent of the field extension,
@@ -36,10 +36,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, sub
+from math import gcd
+from operator import mul
 
-from .lattice import (DimensionError, Matrix, Value, _divided, _matrix_needed, _set, as_rational, block_diagonal,
-                      pivot_columns, rank, vector)
+from .lattice import (DimensionError, Matrix, Value, _cleared, _divided, _matrix_needed, _set, as_rational,
+                      block_diagonal, pivot_columns, rank, vector)
 
 
 MAX_ORDER = 1000  # check_equivariant, for one, returns one exponent per element of the order
@@ -84,10 +85,17 @@ class CyclicRep(Value):
         return result
 
 
+def _rep_needed(rep, name: str) -> CyclicRep:
+    """rep itself; any other argument than a CyclicRep raises one TypeError, as in lattice._matrix_needed."""
+    if not isinstance(rep, CyclicRep):
+        raise TypeError(f"{name} needs a CyclicRep, got {type(rep).__name__}")
+    return rep
+
+
 def norm_operator(rep: CyclicRep) -> Matrix:
     """Sum of all powers of the generator: order / t times the sum of the
     t powers up to the true order t."""
-    powers = rep.powers()
+    powers = _rep_needed(rep, "norm_operator").powers()
     k = rep.order // len(powers)
     total = sum(powers[1:], powers[0])
     return total if k == 1 else total.scale(k)
@@ -95,7 +103,7 @@ def norm_operator(rep: CyclicRep) -> Matrix:
 
 def difference_operator(rep: CyclicRep) -> Matrix:
     """Identity minus the generator."""
-    return Matrix.identity(rep.dim) - rep.gen
+    return Matrix.identity(_rep_needed(rep, "difference_operator").dim) - rep.gen
 
 
 class KerImReport(Value):
@@ -110,39 +118,49 @@ def verify_ker_im(rep: CyclicRep) -> KerImReport:
     and g^t = 1, compared exactly by powers() when t < n and by the
     CyclicRep gate when t = n; N = (n/t) S.  So im B lies in ker N, and
     they are equal exactly when dim ker N = rank B, the one elimination,
-    of den I - G for the cleared integer rows G of g = G / den.
+    of den I - G, its rows those of G = den g cleared to integers, negated.
     rank N is tr N / n, as g N = N makes N/n idempotent.  tr g^(a+b) is
     the O(d^2) pairing sum_il (g^a)_il (g^b)_li, not an O(d^3) product.
     tr g^(n-k) = tr g^k: Q = sum_(k<n) (g^k)^T g^k is positive definite
     and g^T Q g = Q, so g^-1 = Q^-1 g^T Q is similar to g^T.  So tr N =
-    d + 2 sum_(1<=k<n/2) tr g^k + [n even] tr g^(n/2), from g^0 .. g^m,
-    m = ceil(floor(n/2)/2); a power g^t = 1 on the way is the true order,
-    over which the same sum runs.
+    d + 2 sum_(1<=k<n/2) tr g^k + [n even] tr g^(n/2), from G^k = den^k g^k,
+    k <= m = ceil(floor(n/2)/2), each trace divided by den^k; G^t = den^t I
+    on the way gives the true order t, over which the same sum runs.
     """
-    n, d = rep.order, rep.dim
-    powers = [Matrix.identity(d)]  # g^0 .. g^m
+    n, d = _rep_needed(rep, "verify_ker_im").order, rep.dim
+    rows, den = rep.gen._ints()
+    gen = rep.gen if den == 1 else Matrix._trusted(rows, True)  # G; rep.gen keeps its packed rows across calls
+    powers = [Matrix.identity(d)]  # G^0 .. G^m
     for k in range(1, (n // 2 + 1) // 2 + 1):
-        powers.append(rep.gen if k == 1 else powers[-1] @ rep.gen)
-        if powers[k] == powers[0]:
+        powers.append(gen if k == 1 else powers[-1] @ gen)
+        if powers[k] == (powers[0] if den == 1 else Matrix.diagonal([den ** k] * d)):
             n = k  # the true order t: N = (n/t) S, and S is the N of t
             break
     m, half = len(powers) - 1, n // 2
     traces = [sum([row[i] for i, row in enumerate(p.entries)]) for p in powers]
     traces += [_pairing(powers[m], powers[k - m]) for k in range(m + 1, half + 1)]
+    traces = traces if den == 1 else [Fraction(x, den ** k) for k, x in enumerate(traces)]  # tr g^k
     trace = d + 2 * sum(traces[1:(n + 1) // 2]) + (0 if n % 2 else traces[half])
     if trace % n:
         raise ArithmeticError(f"tr N = {trace} is not a multiple of the order {n}")
-    rows, den = rep.gen._ints()
-    rank_b = rank(Matrix._trusted(tuple([tuple([den * (i == j) - x for j, x in enumerate(row)])
-                                         for i, row in enumerate(rows)]), True))
+    rows_b = [[-x for x in row] for row in rows]  # den I - G
+    for i, row in enumerate(rows_b):
+        row[i] += den
+    rank_b = rank(Matrix._trusted(tuple([tuple(row) for row in rows_b]), True))
     dim_ker = d - trace // n
     return KerImReport(dim_ker == rank_b, dim_ker, rank_b)
 
 
-def _pairing(a: Matrix, b: Matrix):
-    """tr(a b) = sum_il a_il b_li over the cleared integer rows of a and b."""
-    (ra, da), (rb, db) = a._ints(), b._ints()
-    return Fraction(sum([sum(map(mul, row, column)) for row, column in zip(ra, zip(*rb))]), da * db)
+def _pairing(a: Matrix, b: Matrix) -> int:
+    """tr(a b) = sum_il a_il b_li for integral a and b."""
+    return sum([sum(map(mul, row, column)) for row, column in zip(a.entries, zip(*b.entries))])
+
+
+def _key(v, d: int = 1) -> tuple:
+    """v / d in lowest terms (v of ints and Fractions, d > 0): its ints, then its denominator unless 1."""
+    (v,), dv = _cleared((v,), all([type(x) is int for x in v]))
+    c = gcd(d := d * dv, *v)
+    return tuple([x // c for x in v] + ([d // c] if c < d else []))
 
 
 def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
@@ -153,40 +171,47 @@ def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
     which is (1/n) N s.  One elimination of the images g v and B s that
     are not spanning vectors checks that the span is stable under the
     generator and that B s lies in it; t - s then lies in it by
-    telescoping, s - g^j s being sum_(i<j) g^i B s.  g t = t needs no
-    check: the orbit loop stops on the exact comparison g^l s == s, and
-    g t - t = (g^l s - s) / l.
+    telescoping, s - g^j s being sum_(i<j) g^i B s.  For s = w_0 / d_s,
+    the orbit runs on G = den g, w_k = G^k w_0 = den^k d_s g^k s, to the
+    exact w_l = den^l w_0, g^l s = s (so g t = t needs no check); and g
+    maps g^k B s = (den w_k - w_(k+1)) / (den^(k+1) d_s) to the next one,
+    g^(l-1) B s to B s, so spanning vectors on that orbit need no product.
     """
+    _rep_needed(rep, "descend_invariant")
     vecs = [vector(v) for v in subspace]
     if any(len(v) != rep.dim for v in vecs):
         raise DimensionError("subspace vectors must have the representation's dimension")
     if len(s) != rep.dim:
         raise DimensionError("vector must have the representation's dimension")
     s = vector(s)
-    orbit, v = [s], rep.gen.apply(s)
-    bs = vector(map(sub, s, v))  # B s = s - g s
-    if not vecs:
-        if any(bs):
-            raise ValueError("B s does not lie in the subspace")
-        return s
-    while v != s:  # the orbit closes within the order, g^n = 1
-        orbit.append(v)
-        v = rep.gen.apply(v)
-    t = tuple(_divided([sum(xs) for xs in zip(*orbit)], len(orbit))[0])
+    rows, den = rep.gen._ints()
+    (w,), ds = _cleared((s,), all([type(x) is int for x in s]))
+    orbit = [list(w), [sum(map(mul, row, w)) for row in rows]]  # w_0, w_1, ..
+    while orbit[-1] != (orbit[0] if den == 1 else [den ** (len(orbit) - 1) * x for x in w]):
+        orbit.append([sum(map(mul, row, orbit[-1])) for row in rows])  # it closes within the order, g^n = 1
+    l = len(orbit) - 1
+    scales = [den ** (l - 1 - k) for k in range(l)]  # t = sum_k den^(l-1-k) w_k / (l den^(l-1) d_s)
+    t = tuple(_divided([sum(xs) if den == 1 else sum(map(mul, scales, xs)) for xs in zip(*orbit[:l])],
+                       l * scales[0] * ds)[0])
     # One forward elimination of [S | gS | Bs] decides both checks: a pivot
-    # among the gS columns is an image g v outside span(S); once the span is
-    # stable, a pivot at Bs is B s outside it.  A column equal to a spanning
-    # vector cannot pivot and changes no other pivot, so it is left out; on
-    # spans closed under g, such as the orbit of B s, every column is.
-    span = Matrix._trusted(tuple(list(zip(*vecs))), all([type(x) is int for vec in vecs for x in vec]))
-    known, m = set(vecs), len(vecs)
-    rest = [c for c in zip(*(rep.gen @ span).entries) if c not in known]
+    # among the gS columns, in any order, is an image g v outside span(S);
+    # once the span is stable, a pivot at Bs is B s outside it.  Columns
+    # equal to spanning vectors (by _key), as on the orbit of B s, are left
+    # out; a column is the ints of a key, a positive multiple of the vector.
+    ints = [[den * a - b for a, b in zip(u, orbit[k + 1])] for k, u in enumerate(orbit[:l])]  # den^(k+1) d_s g^k B s
+    bs = [tuple(u) if den * ds == 1 else _key(u, den ** (k + 1) * ds) for k, u in enumerate(ints)]
+    keys = [v if all([type(x) is int for x in v]) else _key(v) for v in vecs]
+    known, m, after = set(keys), len(vecs), dict(zip(bs, bs[1:] + bs[:1]))
+    rest = [after[key][:rep.dim] for key in keys if key in after and after[key] not in known]
+    if others := [v for v, key in zip(vecs, keys) if key not in after]:
+        product = rep.gen @ Matrix._trusted(tuple(list(zip(*others))), all([type(x) is int for v in others for x in v]))
+        rest += [c for c in zip(*product.entries) if _key(c) not in known]
     images = m + len(rest)
-    if bs not in known:
-        rest.append(bs)
+    if l > 1 and bs[0] not in known:  # B s = 0 at l = 1
+        rest.append(bs[0][:rep.dim])
     if rest:
-        pivots = pivot_columns(Matrix._trusted(tuple([a + b for a, b in zip(span.entries, zip(*rest))]),
-                                               span.is_integral and all([type(x) is int for c in rest for x in c])))
+        cols = vecs + rest
+        pivots = pivot_columns(Matrix._trusted(tuple(list(zip(*cols))), all([type(x) is int for c in cols for x in c])))
         if any(m <= p < images for p in pivots):
             raise ValueError("subspace is not stable under the group generator")
         if images in pivots:

@@ -293,6 +293,53 @@ class TestDescendInvariant:
         assert descend_invariant(regular_rep(3), [(1, -1, 0), (0, 1, -1)], (2, 1, 1)) == (Fraction(4, 3),) * 3
         assert [m.ncols for m in calls] == [3]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_orbit_span_of_b_s_makes_no_product(self, monkeypatch, seed):
+        # g's images on the orbit of B s are read off the orbit of s: with
+        # integral or rational s and generator, no Matrix product is made
+        rng = random.Random(seed)
+        rep = random_rep(rng, max_order=12, max_dim=10)
+        s = tuple([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) if seed % 2 else rng.randint(-4, 4)
+                   for _ in range(rep.dim)])
+        span, v = [], difference_operator(rep).apply(s)
+        for _ in range(rep.order):
+            span.append(v)
+            v = rep.gen.apply(v)
+        products = 0
+        matmul = Matrix.__matmul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        calls = self.counted_eliminations(monkeypatch)
+        t = descend_invariant(rep, span, s)
+        assert (products, calls) == (0, [])
+        monkeypatch.undo()
+        assert difference_operator(rep).apply(t) == (0,) * rep.dim
+
+    def test_some_generators_of_the_product_free_case_are_rational(self):
+        # the seeds above cover rational generators as well as integral ones
+        reps = [random_rep(random.Random(seed), max_order=12, max_dim=10) for seed in range(8)]
+        assert {rep.gen.is_integral for rep in reps} == {True, False}
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("name, call", [
+        ("verify_ker_im", verify_ker_im),
+        ("norm_operator", norm_operator),
+        ("difference_operator", difference_operator),
+        ("descend_invariant", lambda rep: descend_invariant(rep, [(1, 0)], (1, 0))),
+        ("descend_invariant", lambda rep: descend_invariant(rep, [], (1, 0))),
+    ], ids=["verify_ker_im", "norm_operator", "difference_operator", "descend_invariant", "descend_empty_span"])
+    @pytest.mark.parametrize("gen", [Matrix([[0, 1], [1, 0]]), [[0, 1], [1, 0]]], ids=["Matrix", "list"])
+    def test_a_generator_in_place_of_a_rep_is_a_type_error(self, name, call, gen):
+        # one TypeError naming the function, not an AttributeError from inside
+        with pytest.raises(TypeError, match=f"^{name} needs a CyclicRep, got {type(gen).__name__}$"):
+            call(gen)
+
 
 class TestConstruction:
     def test_rejects_wrong_order(self):

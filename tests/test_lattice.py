@@ -1,9 +1,11 @@
+import ast
 import itertools
 import random
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -591,3 +593,33 @@ class TestBilinearForm:
             BilinearForm(Fraction(1, 2), Matrix([[1]]))
         form = BilinearForm(Fraction(2, 2), Matrix([[1]]))
         assert form.dim == 1 and type(form.dim) is int
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fmlattice"
+
+
+def tuples_over_iterators(tree):
+    """Line numbers of tuple(...) calls over a generator expression or a
+    map, zip or filter call, which CPython builds by resizing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tuple" and node.args:
+            arg = node.args[0]
+            if isinstance(arg, ast.GeneratorExp) or (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                                                     and arg.func.id in ("map", "zip", "filter")):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_tuple_is_built_straight_from_an_iterator(path):
+    # the lattice module docstring: a resized tuple that is freed lands on a
+    # per-size free list that only a full collection empties, so a long
+    # session of cheap calls raises peak memory; build tuples from lists
+    lines = list(tuples_over_iterators(ast.parse(path.read_text(encoding="utf-8"))))
+    assert lines == [], f"{path.name}: tuple() over an iterator on lines {lines}"
+
+
+def test_the_tuple_lint_finds_each_form_it_refuses():
+    source = ("tuple(x for x in y)\ntuple(map(f, y))\ntuple(zip(a, b))\ntuple(filter(None, y))\n"
+              "tuple([x for x in y])\ntuple(list(zip(a, b)))\ntuple(y)\nsum(x for x in y)\n")
+    assert list(tuples_over_iterators(ast.parse(source))) == [1, 2, 3, 4]
+    assert len(sorted(SRC.glob("*.py"))) >= 10  # the scan sees the package

@@ -699,16 +699,29 @@ def reference_descend(rep, span, s):
     return tuple([x / rep.order for x in total])
 
 
+# entries of s: ints, Fractions over 2 and 3, and whole numbers given as
+# the unnormalised Fraction(4, 2)
+rational_entries = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3])),
+                             st.just(Fraction(4, 2)))
+
+
 @SETTINGS
-@given(reps, st.sampled_from(["truncated", "two orbits", "one dropped", "another orbit", "invariant"]), st.data())
-def test_descend_invariant_on_spans_partly_closed_under_g(rep, kind, data):
+@given(reps, st.sampled_from(["truncated", "two orbits", "one dropped", "another orbit", "invariant", "rotated",
+                              "stated order"]), st.booleans(), st.data())
+def test_descend_invariant_on_spans_partly_closed_under_g(rep, kind, rational, data):
     # images of spanning vectors that are spanning vectors themselves are
     # left out of the elimination; the others must still decide the answer.
     # A whole orbit of B s less one vector still spans B s, which is minus
     # the sum of the rest; the orbit of another vector may not, and
-    # invariant vectors (orbit sums) span B s only when it is 0.
+    # invariant vectors (orbit sums) span B s only when it is 0.  A rotated
+    # orbit starts at g^k B s, so its images are read off the orbit of s
+    # from k on; over a stated order a multiple of the true one, the orbit
+    # of B s repeats, and the orbit of s still closes at its true length.
     vec = st.lists(st.integers(-4, 4), min_size=rep.dim, max_size=rep.dim).map(tuple)
-    s, rows, n = data.draw(vec), rep.gen.entries, rep.order
+    s = data.draw(st.lists(rational_entries, min_size=rep.dim, max_size=rep.dim).map(tuple) if rational else vec)
+    if kind == "stated order":
+        rep = CyclicRep(rep.order * data.draw(st.integers(2, 3)), rep.dim, rep.gen)
+    rows, n = rep.gen.entries, rep.order
 
     def orbit(v, length):
         out = []
@@ -725,6 +738,8 @@ def test_descend_invariant_on_spans_partly_closed_under_g(rep, kind, data):
         span = orbit(data.draw(vec), n)
     elif kind == "invariant":
         span = [tuple(map(sum, zip(*orbit(data.draw(vec), n)))) for _ in range(data.draw(st.integers(1, 2)))]
+    elif kind == "rotated":
+        span = orbit(orbit(bs, data.draw(st.integers(1, n)))[-1], data.draw(st.integers(1, n)))
     else:
         span = orbit(bs, data.draw(st.integers(1, n)))
         if kind == "two orbits":
