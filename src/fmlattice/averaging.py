@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .lattice import (DimensionError, Matrix, Value, _cleared, _divided, _matrix_needed, _set, as_rational,
+from .lattice import (DimensionError, Matrix, Value, _cleared, _divided, _needs, _set, as_rational,
                       block_diagonal, pivot_columns, rank, vector)
 
 
@@ -58,7 +58,7 @@ class CyclicRep(Value):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
             _set(self, name, value)
-        _matrix_needed(gen, type(self).__name__)
+        _needs(gen, Matrix, type(self).__name__)
         _set(self, "gen", gen)
         self.__post_init__()  # through self: GActionLattice's checks more, timed by bench/tracing.py
 
@@ -85,17 +85,10 @@ class CyclicRep(Value):
         return result
 
 
-def _rep_needed(rep, name: str) -> CyclicRep:
-    """rep itself; any other argument than a CyclicRep raises one TypeError, as in lattice._matrix_needed."""
-    if not isinstance(rep, CyclicRep):
-        raise TypeError(f"{name} needs a CyclicRep, got {type(rep).__name__}")
-    return rep
-
-
 def norm_operator(rep: CyclicRep) -> Matrix:
     """Sum of all powers of the generator: order / t times the sum of the
     t powers up to the true order t."""
-    powers = _rep_needed(rep, "norm_operator").powers()
+    powers = _needs(rep, CyclicRep, "norm_operator").powers()
     k = rep.order // len(powers)
     total = sum(powers[1:], powers[0])
     return total if k == 1 else total.scale(k)
@@ -103,7 +96,7 @@ def norm_operator(rep: CyclicRep) -> Matrix:
 
 def difference_operator(rep: CyclicRep) -> Matrix:
     """Identity minus the generator."""
-    return Matrix.identity(_rep_needed(rep, "difference_operator").dim) - rep.gen
+    return Matrix.identity(_needs(rep, CyclicRep, "difference_operator").dim) - rep.gen
 
 
 class KerImReport(Value):
@@ -127,7 +120,7 @@ def verify_ker_im(rep: CyclicRep) -> KerImReport:
     k <= m = ceil(floor(n/2)/2), each trace divided by den^k; G^t = den^t I
     on the way gives the true order t, over which the same sum runs.
     """
-    n, d = _rep_needed(rep, "verify_ker_im").order, rep.dim
+    n, d = _needs(rep, CyclicRep, "verify_ker_im").order, rep.dim
     rows, den = rep.gen._ints()
     gen = rep.gen if den == 1 else Matrix._trusted(rows, True)  # G; rep.gen keeps its packed rows across calls
     powers = [Matrix.identity(d)]  # G^0 .. G^m
@@ -177,7 +170,7 @@ def descend_invariant(rep: CyclicRep, subspace, s) -> tuple:
     maps g^k B s = (den w_k - w_(k+1)) / (den^(k+1) d_s) to the next one,
     g^(l-1) B s to B s, so spanning vectors on that orbit need no product.
     """
-    _rep_needed(rep, "descend_invariant")
+    _needs(rep, CyclicRep, "descend_invariant")
     vecs = [vector(v) for v in subspace]
     if any(len(v) != rep.dim for v in vecs):
         raise DimensionError("subspace vectors must have the representation's dimension")

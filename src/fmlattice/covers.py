@@ -20,7 +20,8 @@ preserves rank and multiplies the point class by n, pushforward does the
 opposite.  Transfer matrices on Num are supplied data, never inferred --
 the axioms do not determine them, genuine geometry does.  validate_cover
 reports each axiom separately with a witness instead of throwing, so that
-broken transfers can be inspected.
+broken transfers can be inspected; the report is made once per transfer
+(CoverTransfer.validation), so a loaded cover is not checked again.
 
 The transfers act the same way on Chern characters and on Mukai vectors,
 so pullback_ch and pushforward_ch take and return the one value type of
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .lattice import DimensionError, Matrix, Value, as_rational, block_diagonal
-from .surfaces import ExtendedVector, NumericalSurface, euler_pairing
+from .lattice import DimensionError, Matrix, Value, _needs, as_rational, block_diagonal
+from .surfaces import ExtendedVector, NumericalSurface, _on, euler_pairing
 
 
 class CoverTransfer(Value):
@@ -87,6 +88,11 @@ class CoverTransfer(Value):
         """degree_identity(self); checked once per transfer."""
         return degree_identity(self)
 
+    @cached_property
+    def validation(self) -> "CoverValidation":
+        """The report of validate_cover(self); checked once per transfer."""
+        return _validation(self)
+
 
 class CoverCheck(Value):
     _fields = ("name", "passed", "detail")
@@ -107,8 +113,14 @@ def validate_cover(t: CoverTransfer) -> CoverValidation:
     """Check the five numerical axioms of a canonical-cover transfer.
 
     Every check is reported with a pass/fail flag and a witness; nothing
-    is thrown.  The overall verdict is the conjunction.
+    is thrown.  The overall verdict is the conjunction.  The report is
+    t.validation, made once per transfer; load_definitions made it already
+    for every cover it accepted.
     """
+    return _needs(t, CoverTransfer, "validate_cover").validation
+
+
+def _validation(t: CoverTransfer) -> CoverValidation:
     n = t.degree
     gb, gc = t.base.num.gram, t.cover.num.gram
     checks = []
@@ -152,7 +164,7 @@ def _first_difference(a: Matrix, b: Matrix) -> tuple:
 
 def degree_identity(t: CoverTransfer) -> CoverCheck:
     """The axiom push o pull = n on Num, which lift_isometry rests on."""
-    n = t.degree
+    n = _needs(t, CoverTransfer, "degree_identity").degree
     comp = t.push_num @ t.pull_num
     deg = Matrix.diagonal([n] * t.base.dim)
     if comp == deg:
@@ -164,15 +176,13 @@ def degree_identity(t: CoverTransfer) -> CoverCheck:
 
 def pullback_ch(t: CoverTransfer, e: ExtendedVector) -> ExtendedVector:
     """Pull a class back along the cover: (r, pull c, n s)."""
-    if len(e.c) != t.base.dim:
-        raise DimensionError(f"class does not live on {t.base.name}")
+    _on(_needs(t, CoverTransfer, "pullback_ch").base, "pullback_ch", e)
     return ExtendedVector(e.r, t.pull_num.apply(e.c), t.degree * e.s)
 
 
 def pushforward_ch(t: CoverTransfer, e: ExtendedVector) -> ExtendedVector:
     """Push a class forward along the cover: (n r, push c, s)."""
-    if len(e.c) != t.cover.dim:
-        raise DimensionError(f"class does not live on {t.cover.name}")
+    _on(_needs(t, CoverTransfer, "pushforward_ch").cover, "pushforward_ch", e)
     return ExtendedVector(t.degree * e.r, t.push_num.apply(e.c), e.s)
 
 
@@ -183,6 +193,8 @@ def chi_adjunction_check(t: CoverTransfer, f, e) -> tuple:
     form of the pullback/pushforward adjunction and holds for every
     transfer satisfying the five axioms.
     """
+    _on(_needs(t, CoverTransfer, "chi_adjunction_check").base, "chi_adjunction_check", f)
+    _on(t.cover, "chi_adjunction_check", e)
     lhs = euler_pairing(t.cover, pullback_ch(t, f), e)
     rhs = euler_pairing(t.base, f, pushforward_ch(t, e))
     return lhs, rhs, lhs == rhs

@@ -273,11 +273,14 @@ def parse_number_text(text: str, allow_fraction=True):
 
 def parse_matrix_text(text: str, allow_fraction=True) -> Matrix:
     """Parse a standalone MATRIX literal like '[1,0;0,2]'."""
-    # ASCII numbers and no spaces, the usual command-line form, split fast
+    # ASCII numbers and no spaces, the usual command-line form, split fast;
+    # _parse_number normalises every entry, so equal rows make a trusted Matrix
     if isinstance(text, str) and re.fullmatch(r"\[-?[0-9][0-9/]*(?:[,;]-?[0-9][0-9/]*)*\]", text):
         try:
-            return Matrix([[_parse_number(x, allow_fraction) for x in row.split(",")]
-                           for row in text[1:-1].split(";")])
+            rows = tuple([tuple([_parse_number(x, allow_fraction) for x in row.split(",")])
+                          for row in text[1:-1].split(";")])
+            if all([len(row) == len(rows[0]) for row in rows]):
+                return Matrix._trusted(rows, all([type(x) is int for row in rows for x in row]))
         except ValueError:
             pass  # the token pass below places the error
     tokens = [t for t in _tokenize(text) if t.kind != "newline"]

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, Value, as_rational, solve_rational
-from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi
+from .lattice import Matrix, Value, _needs, as_rational, solve_rational
+from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi, _on
 from .transport import GActionLattice
 
 
@@ -70,14 +71,15 @@ def generator_set(surface: NumericalSurface) -> list:
 
 def freeness_gcd(t: CoverTransfer, e: ExtendedVector) -> GcdCertificate:
     """The descent certificate of a class e on the cover of t: the values
-    chi(F, push e) over the generators F are euler_gram(base) push e, one
-    apply of t.euler_push."""
-    if len(e.c) != t.cover.dim:
-        raise DimensionError(f"class does not live on {t.cover.name}")
+    chi(F, push e) over the generators F are euler_gram(base) push e, the
+    integer rows of t.euler_push times e's cleared coordinates, divided once."""
+    _on(_needs(t, CoverTransfer, "freeness_gcd").cover, "freeness_gcd", e)
     if any(row[j] % 2 for j, row in enumerate(t.base.num.gram.entries)):
         generator_set(t.base)  # raises the parity error of the first odd e_j
-    values = t.euler_push.apply(e.coords())
-    return GcdCertificate.from_values(zip(_labels(t.base.dim), map(_integral_chi, values)))
+    rows, d = t.euler_push._ints()
+    u, du = e._ints
+    values = [_integral_chi(sum(map(mul, row, u)), d * du) for row in rows]
+    return GcdCertificate.from_values(zip(_labels(t.base.dim), values))
 
 
 def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVector:
@@ -87,12 +89,12 @@ def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVect
     the true order of g.  Raises InvariantError when the sum has a
     non-integral rank or divisor coordinate (possible when the action
     mixes s into r or c and s is half-integral)."""
+    _needs(action, GActionLattice, "orbit_sum")
     m = as_rational(m)  # bools and floats raise TypeError
     if not isinstance(m, int) or m < 1 or action.order % m:
         raise ValueError(f"{m} does not divide the action order {action.order}")
+    _on(action.surface, "orbit_sum", e)
     coords = e.coords()
-    if len(coords) != action.dim:
-        raise DimensionError(f"class does not live on {action.surface.name}")
     pows = action.powers()
     q, rest = divmod(m, len(pows))
     total = [0] * len(coords)
@@ -122,7 +124,9 @@ def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> Obs
     identity on the extended lattice -- so it equals m*e.  The sum must be
     the pullback of an integral class for the obstruction to apply.
     """
-    n, m = t.degree, as_rational(m)  # bools and floats raise TypeError
+    _needs(e, ExtendedVector, "divisibility_obstruction")
+    n = _needs(t, CoverTransfer, "divisibility_obstruction").degree
+    m = as_rational(m)  # bools and floats raise TypeError
     if not isinstance(m, int) or m < 1 or n % m:
         raise ValueError(f"{m} does not divide the cover degree {n}")
     cert = freeness_gcd(t, e)  # refuses a class of the wrong length first

@@ -16,22 +16,24 @@ diagonal (its values pass vector()) and every matrix the kernel computes
 itself (sums, products, negations, transposes, reduced forms, inverses,
 normal forms) are trusted.  Elimination, the solvers, Smith normal form
 and the value types built on a Matrix refuse any other argument with one
-TypeError (_matrix_needed).
+TypeError (_needs), as do the domain functions of the modules above.
 
 There is one way into the integers and one way out: _cleared writes a
 matrix as integer rows over one common denominator d (det divides by d^n
 at the end), and _divided divides ints exactly, to ints where it can and
 Fractions elsewhere, flagging whether all were ints; _quotient makes the
-divided rows of a product or a scaling a trusted Matrix.  Each matrix
-is cleared once: _ints caches its integer rows (tuples, so no
-elimination changes them in place) and d; _sizes, read by products only,
-caches their max |entry| and nonzero count.  Smith normal form and
-integer solving share one pass loop on [[m, R], [I, 0]]: row operations
-on its first nrows rows move m and R together, column operations on its
-first ncols m and V; a column pass is a row pass on the transpose.
-R = I gives U, R = b gives U b alone.  A pass rewrites rows from the
-pivot column on, scans once per Euclid step, and leaves echelon form, so
-the test that m is diagonal reads one slice per row (_hnf, _smith).
+divided rows of a product or a scaling a trusted Matrix.  Each matrix is
+cleared once: _ints caches its integer rows (tuples, so no elimination
+changes them in place) and d; _sizes, read by products only, caches
+their max |entry| and nonzero count.  An ExtendedVector (surfaces)
+caches its cleared coordinates the same way, and a pairing applies
+integer rows to them and divides once.  Smith normal form and integer
+solving share one pass loop on [[m, R], [I, 0]]: row operations on its
+first nrows rows move m and R together, column operations on its first
+ncols m and V; a column pass is a row pass on the transpose.  R = I
+gives U, R = b gives U b alone.  A pass rewrites rows from the pivot
+column on, scans once per Euclid step, and leaves echelon form, so the
+test that m is diagonal reads one slice per row (_hnf, _smith).
 
 Ranks, determinants, solutions and reduced forms start from one forward
 elimination (_eliminate) of m, or of [m | b], cleared to integers.  With
@@ -112,7 +114,7 @@ def vector(entries) -> tuple:
 def dot(u, v):
     if len(u) != len(v):
         raise DimensionError("vectors of unequal length")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class Matrix:
@@ -295,7 +297,7 @@ class Matrix:
 def block_diagonal(blocks) -> Matrix:
     blocks = list(blocks)
     for b in blocks:
-        _matrix_needed(b, "block_diagonal")
+        _needs(b, Matrix, "block_diagonal")
     m = sum(b.ncols for b in blocks)
     rows, j0 = [], 0
     for b in blocks:
@@ -357,11 +359,13 @@ def _packed_product(a, packing, p: int) -> list:
     return out
 
 
-def _matrix_needed(m, name: str) -> None:
-    """Refuse a non-Matrix argument with one TypeError, not an AttributeError
-    from deep inside."""
-    if not isinstance(m, Matrix):
-        raise TypeError(f"{name} needs a Matrix, got {type(m).__name__}")
+def _needs(value, cls, fn: str):
+    """value itself; an argument that is not a cls raises one TypeError
+    naming fn, not an AttributeError from deep inside."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{fn} needs {article} {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _divided(values, d: int) -> tuple:
@@ -389,7 +393,7 @@ def _quotient(rows, d: int) -> Matrix:
 
 def det(m: Matrix):
     """Exact determinant: the signed last forward pivot of the rows cleared to d, over d^n."""
-    _matrix_needed(m, "det")
+    _needs(m, Matrix, "det")
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
     _, pivots, sign, den = _eliminate(m)
@@ -401,7 +405,7 @@ def det(m: Matrix):
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse over Q, the right half of rref([m | I]); raises on
     singular input."""
-    _matrix_needed(m, "inverse")
+    _needs(m, Matrix, "inverse")
     if not m.is_square:
         raise DimensionError("inverse of a non-square matrix")
     n = m.nrows
@@ -420,7 +424,7 @@ def rref(m: Matrix) -> tuple:
     e_k at the k-th pivot column, written as it is, and at a free column
     the den x that _back_substitute reads, divided by den.
     """
-    _matrix_needed(m, "rref")
+    _needs(m, Matrix, "rref")
     a, pivots, _, den = _eliminate(m)
     n = m.ncols
     rows = [[0] * c + [1] + [0] * (n - c - 1) for c in pivots] + [[0] * n] * (m.nrows - len(pivots))
@@ -435,12 +439,12 @@ def rref(m: Matrix) -> tuple:
 
 def pivot_columns(m: Matrix) -> tuple:
     """The pivot columns of a row-echelon form of m, from one forward elimination."""
-    _matrix_needed(m, "pivot_columns")
+    _needs(m, Matrix, "pivot_columns")
     return tuple(_eliminate(m)[1])
 
 
 def rank(m: Matrix) -> int:
-    _matrix_needed(m, "rank")
+    _needs(m, Matrix, "rank")
     return len(_eliminate(m)[1])
 
 
@@ -498,7 +502,7 @@ def _back_substitute(a, pivots, den: int, j: int, n: int) -> list:
 
 def kernel_basis(m: Matrix) -> list:
     """A basis of the rational null space, empty when the matrix is injective."""
-    _matrix_needed(m, "kernel_basis")
+    _needs(m, Matrix, "kernel_basis")
     reduced, pivots = rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
@@ -516,7 +520,7 @@ def solve_rational(m: Matrix, b) -> tuple | None:
     one whose coordinates off the pivot columns of m are 0.  Those columns
     are fixed by m, and with them the solution, so it is the one a reduced
     row-echelon form of [m | b] reads off; _solve finds it without one."""
-    _matrix_needed(m, "solve_rational")
+    _needs(m, Matrix, "solve_rational")
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length mismatch")
     solved = _solve(m, vector(b))
@@ -583,7 +587,7 @@ def smith_normal_form(m: Matrix) -> tuple:
     each diagonal entry divides the next.  Total on all integer matrices.
     The passes of _smith run on [[m, I], [I, 0]] and leave [[D, U], [V, 0]].
     """
-    _matrix_needed(m, "smith_normal_form")
+    _needs(m, Matrix, "smith_normal_form")
     nrows, ncols = m.nrows, m.ncols
     a = _smith(m, [[int(i == j) for j in range(nrows)] for i in range(nrows)])
     top, bottom = a[:nrows], a[nrows:]
@@ -645,7 +649,7 @@ def solve_integer(m: Matrix, b) -> tuple | None:
     when it is integral and None otherwise.  Wide and rank-deficient m take
     V D^-1 U b from the passes of _smith on [[m, b], [I, 0]], which carry
     U b, not U."""
-    _matrix_needed(m, "solve_integer")
+    _needs(m, Matrix, "solve_integer")
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length mismatch")
     if not m.is_integral or not all(isinstance(_exact(x), int) for x in b):
@@ -722,7 +726,7 @@ class BilinearForm(Value):
     _fields = ("dim", "gram")
 
     def __init__(self, dim: int, gram: Matrix):
-        _matrix_needed(gram, "BilinearForm")
+        _needs(gram, Matrix, "BilinearForm")
         dim = as_rational(dim)  # bools and floats raise TypeError
         if not (gram.is_square and gram.nrows == dim and dim >= 1):
             raise DimensionError("Gram matrix does not match the stated dimension")

@@ -19,7 +19,9 @@ Chern characters, Mukai vectors and their images under cover transfers
 all live on the one graded lattice H^0 + Num + H^4, so they are values of
 one type, ExtendedVector(r, c, s).  ChernCharacter and MukaiVector are
 other names for it, ch2 reads s, and mukai_vector converts a Chern
-character to its Mukai vector.
+character to its Mukai vector.  A vector's coordinates are cleared to
+integers over the denominator of s once (_ints); the Euler pairing and the
+gcd certificate divide only at the end, and character tests parity in ints.
 
 The "special" condition (invariance of a sheaf under twisting by the
 canonical bundle) is numerically invisible here: a numerically trivial
@@ -31,8 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from .lattice import BilinearForm, DimensionError, Matrix, Value, _set, as_rational, dot
+from .lattice import BilinearForm, DimensionError, Matrix, Value, _needs, _set, as_rational, dot
 
 
 class InvariantError(ValueError):
@@ -58,13 +61,21 @@ class ExtendedVector(Value):
     def __init__(self, r: int, c: tuple, s: Fraction):
         if isinstance(c, (str, bytes)):
             raise TypeError(f"divisor must be a sequence, not {type(c).__name__}")
-        r = as_rational(r)
-        c = tuple([as_rational(x) for x in c])
-        if not (isinstance(r, int) and all(isinstance(x, int) for x in c)):
-            raise InvariantError(f"rank {r} and divisor {c} must be integral")
+        c = tuple(c)
+        if not (type(r) is int and all([type(x) is int for x in c])):
+            r, c = as_rational(r), tuple([as_rational(x) for x in c])
+            if not (isinstance(r, int) and all(isinstance(x, int) for x in c)):
+                raise InvariantError(f"rank {r} and divisor {c} must be integral")
         _set(self, "r", r)
         _set(self, "c", c)
-        _set(self, "s", Fraction(as_rational(s)))
+        _set(self, "s", s if type(s) is Fraction else Fraction(as_rational(s)))
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """(d coords, d), d the denominator of s: the coordinates as integers
+        over one denominator, cleared once per vector as Matrix._ints() is."""
+        d = self.s.denominator
+        return (self.r * d, *[x * d for x in self.c], self.s.numerator), d
 
     @property
     def ch2(self) -> Fraction:
@@ -118,10 +129,11 @@ class NumericalSurface(Value):
         if len(e.c) != self.dim:
             raise DimensionError(
                 f"c1 has length {len(e.c)}, lattice of {self.name} has rank {self.dim}")
-        parity = 2 * e.ch2 + self.num.pair(e.c, e.c)
-        if parity.denominator != 1 or parity % 2:
+        square, d = self.num.pair(e.c, e.c), e.s.denominator
+        # s = p/d in lowest terms, so 2 p/d is an integer only for d = 1 or 2
+        if d > 2 or (2 // d * e.s.numerator + square) % 2:
             raise InvariantError(
-                f"2*ch2 + c1^2 = {parity} must be an even integer on {self.name}")
+                f"2*ch2 + c1^2 = {2 * e.ch2 + square} must be an even integer on {self.name}")
         return e
 
     def point_class(self) -> ExtendedVector:
@@ -157,37 +169,47 @@ class NumericalSurface(Value):
         return True
 
 
+def _on(surface, fn: str, *classes) -> None:
+    """Refuse, naming fn, a surface that is not a NumericalSurface or a class
+    that is not an ExtendedVector (TypeError), or one of another rank."""
+    _needs(surface, NumericalSurface, fn)
+    for e in classes:
+        if len(_needs(e, ExtendedVector, fn).c) != surface.dim:
+            raise DimensionError(f"class does not live on {surface.name}")
+
+
 def euler_pairing(surface: NumericalSurface, e, f) -> int:
-    """chi(E, F) = coords(E)^T X coords(F) for X = surface.euler_gram."""
-    if len(e.c) != surface.dim or len(f.c) != surface.dim:
-        raise DimensionError(f"class does not live on {surface.name}")
-    return _integral_chi(dot(e.coords(), surface.euler_gram.apply(f.coords())))
+    """chi(E, F) = coords(E)^T X coords(F) for X = surface.euler_gram, the
+    integer rows of X applied to the cleared coordinates, divided once."""
+    _on(surface, "euler_pairing", e, f)
+    (u, du), (v, dv) = e._ints, f._ints
+    rows, d = surface.euler_gram._ints()
+    return _integral_chi(dot(u, [sum(map(mul, row, v)) for row in rows]), d * du * dv)
 
 
-def _integral_chi(chi) -> int:
-    """chi as an int; only classes violating the parity invariant fail."""
-    chi = as_rational(chi)
-    if not isinstance(chi, int):
-        raise InvariantError(f"chi(E,F) = {chi} is not an integer")
-    return chi
+def _integral_chi(chi: int, d: int) -> int:
+    """chi / d as an int; only classes violating the parity invariant fail."""
+    q, r = divmod(chi, d)
+    if r:
+        raise InvariantError(f"chi(E,F) = {Fraction(chi, d)} is not an integer")
+    return q
 
 
 def mukai_vector(surface: NumericalSurface, e: ExtendedVector) -> ExtendedVector:
     """Twist a Chern character by sqrt(td): (r, c, ch2 + r chi(O)/2)."""
-    if len(e.c) != surface.dim:
-        raise DimensionError(f"class does not live on {surface.name}")
+    _on(surface, "mukai_vector", e)
     return ExtendedVector(e.r, e.c, e.s + Fraction(e.r * surface.chi_o, 2))
 
 
 def mukai_pairing(surface: NumericalSurface, v, w):
     """<v, w> = c_v . c_w - r_v s_w - r_w s_v; satisfies
     <v(E), v(F)> = -chi(E, F)."""
-    if len(v.c) != surface.dim or len(w.c) != surface.dim:
-        raise DimensionError(f"class does not live on {surface.name}")
+    _on(surface, "mukai_pairing", v, w)
     return as_rational(surface.num.pair(v.c, w.c) - v.r * w.s - w.r * v.s)
 
 
 def moduli_dim_expectation(surface: NumericalSurface, e) -> int:
     """Expected dimension 2 - chi(E, E) = <v, v> + 2 of a moduli space of
     sheaves with class e."""
+    _on(surface, "moduli_dim_expectation", e)
     return 2 - euler_pairing(surface, e, e)

@@ -41,7 +41,7 @@ from math import gcd
 
 from .averaging import CyclicRep
 from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, Value, _matrix_needed, _set, as_rational, kernel_basis
+from .lattice import DimensionError, Matrix, Value, _needs, _set, as_rational, kernel_basis
 from .surfaces import InvariantError, NumericalSurface
 
 
@@ -75,7 +75,7 @@ class LatticeIsometry(Value):
     def __init__(self, source: NumericalSurface, target: NumericalSurface, mat: Matrix):
         _set(self, "source", source)
         _set(self, "target", target)
-        _matrix_needed(mat, "LatticeIsometry")
+        _needs(mat, Matrix, "LatticeIsometry")
         _set(self, "mat", mat)
         self.__post_init__()  # through self: bench/tracing.py replaces it to time it
 
@@ -147,6 +147,8 @@ def check_equivariant(phi: LatticeIsometry, a_y: GActionLattice,
     g_y^n = 1 (checked when a_y was built) reduces jk mod n, and a unit k
     makes j -> jk mod n an automorphism of Z_n.
     """
+    for value, cls in ((phi, LatticeIsometry), (a_y, GActionLattice), (a_x, GActionLattice)):
+        _needs(value, cls, "check_equivariant")
     if a_y.order != a_x.order:
         raise ValueError(
             f"group orders differ: {a_y.order} vs {a_x.order}")
@@ -199,6 +201,8 @@ def descend_isometry(phi_t: LatticeIsometry, t_y: CoverTransfer,
     uniquely over Q (pushforward is surjective there); the candidate is
     returned only when it is integral and both squares hold exactly.
     """
+    for value, cls in ((phi_t, LatticeIsometry), (t_y, CoverTransfer), (t_x, CoverTransfer)):
+        _needs(value, cls, "descend_isometry")
     if t_y.degree != t_x.degree:
         raise ValueError(f"cover degrees differ: {t_y.degree} vs {t_x.degree}")
     if phi_t.source != t_y.cover or phi_t.target != t_x.cover:
@@ -242,6 +246,8 @@ def lift_isometry(phi: LatticeIsometry, t_y: CoverTransfer, t_x: CoverTransfer):
     When both kernels are nonzero the family is returned, otherwise [M0]
     when it is an integral isometry and [] when it is not.
     """
+    for value, cls in ((phi, LatticeIsometry), (t_y, CoverTransfer), (t_x, CoverTransfer)):
+        _needs(value, cls, "lift_isometry")
     if t_y.degree != t_x.degree:
         raise ValueError(f"cover degrees differ: {t_y.degree} vs {t_x.degree}")
     if phi.source != t_y.base or phi.target != t_x.base:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +204,59 @@ class TestConstruction:
         t = CoverTransfer(base, cover, Fraction(4, 2), ENR.pull_num, ENR.push_num)
         assert type(t.degree) is int and t == ENR
         assert validate_cover(t).passed
+
+
+class TestValidatedOnce:
+    """validate_cover reads CoverTransfer.validation, made once per transfer;
+    the definitions loader makes it for every cover it checks, so a
+    `cover validate` line multiplies no matrix at all."""
+
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+        original = Matrix.__matmul__
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        return calls
+
+    def test_one_report_per_transfer(self):
+        for t in CATALOG.covers.values():
+            assert validate_cover(t) is validate_cover(t) is t.validation
+
+    def test_cover_validate_line_makes_no_product(self, monkeypatch):
+        from fmlattice.cli import run_cli
+
+        builtin_catalog()
+        calls = self.count_products(monkeypatch)
+        code, out = run_cli(["cover", "validate", "bielliptic_cover_3"])
+        assert code == 0 and out.count("PASS ") == 5
+        assert calls == []  # 4 while each line validated the cover again
+
+    def test_loaded_cover_is_not_checked_again(self, monkeypatch):
+        from fmlattice.defsio import load_definitions
+
+        text = (Path(__file__).resolve().parent / "data" / "enriques_k3_18.defs").read_text(encoding="utf-8")
+        entries = load_definitions(text, registry=CATALOG.registry())
+        calls = self.count_products(monkeypatch)
+        for entry in entries:
+            if entry.kind == "cover":
+                assert validate_cover(entry.payload).passed
+        assert calls == []
+
+    def test_allow_invalid_cover_still_prints_its_fail_lines(self):
+        from fmlattice.cli import run_cli
+
+        defs = str(Path(__file__).resolve().parent / "data" / "golden.defs")
+        argv = ["cover", "validate", "golden_bad_cover", "--defs", defs, "--allow-invalid"]
+        expected = ("PASS degree_equals_canonical_order\n"
+                    "PASS intersection_scaling\n"
+                    "FAIL pushforward_adjointness: (push f1).e2 = 1 but f1.(pull e2) = 2\n"
+                    "FAIL degree_identity: push(pull(e1)) = (1, 0), expected (2, 0)\n"
+                    "PASS chi_multiplicativity\n")
+        assert run_cli(argv) == (0, expected)
+        assert run_cli(argv) == (0, expected)
+        assert run_cli(argv + ["--strict"]) == (1, expected)

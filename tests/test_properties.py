@@ -813,6 +813,77 @@ VALID_BUILTIN_COVERS = [name for name, t in sorted(CATALOG.covers.items())
                         if validate_cover(t).passed]
 
 
+# euler_pairing, mukai_pairing, character and freeness_gcd run on each
+# class's coordinates cleared to integers over the denominator of s; here
+# they are compared with plain Fraction arithmetic on every catalog
+# surface and cover, the chi-odd Enriques lattices enriques_toy and
+# enriques_e10 among them, with s in Z, 1/2 Z and 1/3 Z.
+def reference_form(rows, u, v):
+    """u^T X v over Fraction for X given by its rows; a whole value as an int."""
+    value = sum([Fraction(x) * a * b for row, a in zip(rows, u) for x, b in zip(row, v)], Fraction(0))
+    return value.numerator if value.denominator == 1 else value
+
+
+@st.composite
+def triples(draw, dim):
+    """(r, c, s) with integral r and c and s in Z, 1/2 Z or 1/3 Z."""
+    r = draw(st.integers(-6, 6))
+    c = tuple(draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)))
+    return r, c, Fraction(draw(st.integers(-12, 12)), draw(st.sampled_from([1, 2, 3])))
+
+
+def expect_chi(call, chi):
+    """call() returns the int chi, or raises chi's InvariantError when it is not whole."""
+    if isinstance(chi, int):
+        got = call()
+        assert got == chi and type(got) is int
+    else:
+        with pytest.raises(InvariantError, match=f"^{re.escape(f'chi(E,F) = {chi} is not an integer')}$"):
+            call()
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(LIFT_CATALOG.surfaces.items())), st.data())
+def test_cleared_pairings_and_character_match_fraction_arithmetic(item, data):
+    name, surface = item
+    assert "enriques_e10" in LIFT_CATALOG.surfaces and "enriques_toy" in LIFT_CATALOG.surfaces
+    (r, c, s), (rf, cf, sf) = data.draw(triples(surface.dim)), data.draw(triples(surface.dim))
+    parity = 2 * s + reference_form(surface.num.gram.entries, c, c)
+    if parity.denominator == 1 and parity % 2 == 0:
+        e = surface.character(r, c, s)
+        assert e == ExtendedVector(r, c, s)
+    else:
+        message = f"2*ch2 + c1^2 = {parity} must be an even integer on {name}"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            surface.character(r, c, s)
+        e = ExtendedVector(r, c, s)
+    f = ExtendedVector(rf, cf, sf)
+    expect_chi(lambda: euler_pairing(surface, e, f),
+               reference_form(surface.euler_gram.entries, e.coords(), f.coords()))
+    expect_chi(lambda: euler_pairing(surface, f, f),
+               reference_form(surface.euler_gram.entries, f.coords(), f.coords()))
+    assert mukai_pairing(surface, e, f) == reference_form(surface.mukai_gram.entries, e.coords(), f.coords())
+    if surface.is_integral_class(rf, cf, sf) and surface.is_integral_class(r, c, s):
+        v, w = mukai_vector(surface, e), mukai_vector(surface, f)
+        assert mukai_pairing(surface, v, w) == -euler_pairing(surface, e, f)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(LIFT_CATALOG.covers.items())), st.data())
+def test_cleared_freeness_gcd_matches_fraction_arithmetic(item, data):
+    _, t = item
+    e = ExtendedVector(*data.draw(triples(t.cover.dim)))
+    pushed = [sum([Fraction(x) * y for x, y in zip(row, e.coords())], Fraction(0)) for row in t.push_extended.entries]
+    values = [reference_form([row], [1], pushed) for row in t.base.euler_gram.entries]
+    bad = next((chi for chi in values if not isinstance(chi, int)), None)
+    if bad is not None:
+        expect_chi(lambda: freeness_gcd(t, e), bad)
+        return
+    cert = freeness_gcd(t, e)
+    assert [v for _, v in cert.values] == values
+    assert cert.gcd == gcd(*values) and cert.free == (cert.gcd == 1)
+
+
 def isometry_word(surface, picks):
     """The product of line-bundle twists by basis divisors and their
     negatives, total negation and negation on Num, chosen by picks."""

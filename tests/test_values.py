@@ -14,18 +14,36 @@ import pytest
 
 from fmlattice.averaging import CyclicRep, KerImReport, verify_ker_im
 from fmlattice.catalog import Catalog, ReproCheck, ReproReport, builtin_catalog
-from fmlattice.covers import CoverCheck, CoverTransfer, CoverValidation, degree_identity
+from fmlattice.covers import (
+    CoverCheck,
+    CoverTransfer,
+    CoverValidation,
+    chi_adjunction_check,
+    degree_identity,
+    pullback_ch,
+    pushforward_ch,
+    validate_cover,
+)
 from fmlattice.defsio import CatalogEntry, VectorEntry
-from fmlattice.descent import GcdCertificate, ObstructionReport, divisibility_obstruction, freeness_gcd
+from fmlattice.descent import GcdCertificate, ObstructionReport, divisibility_obstruction, freeness_gcd, orbit_sum
 from fmlattice.lattice import BilinearForm, Matrix, block_diagonal
-from fmlattice.surfaces import ExtendedVector, NumericalSurface
+from fmlattice.surfaces import (
+    ExtendedVector,
+    NumericalSurface,
+    euler_pairing,
+    moduli_dim_expectation,
+    mukai_pairing,
+    mukai_vector,
+)
 from fmlattice.transport import (
     DescentOutcome,
     GActionLattice,
     LatticeIsometry,
     LiftFamily,
+    check_equivariant,
     descend_isometry,
     identity_isometry,
+    lift_isometry,
 )
 
 CATALOG = builtin_catalog()
@@ -173,3 +191,38 @@ def test_validation_is_one_replaceable_class_attribute(monkeypatch, cls, build):
 def test_a_non_matrix_argument_is_the_shared_type_error(name, build):
     with pytest.raises(TypeError, match=f"^{name} needs a Matrix, got list$"):
         build()
+
+
+# A Matrix or a tuple where a surface, a class, a transfer, an action or an
+# isometry belongs used to end in AttributeError ('tuple' object has no
+# attribute 'c', 'Matrix' object has no attribute 'degree', 'order' or
+# 'source').
+POINT = PRODUCT.point_class()
+BASE_POINT = BI2.base.point_class()
+TRIPLE = (0, (0, 0), 1)
+PHI = identity_isometry(PRODUCT)
+
+
+@pytest.mark.parametrize("name, cls, got, call", [
+    ("euler_pairing", "NumericalSurface", "str", lambda: euler_pairing("product_elliptic", POINT, POINT)),
+    ("euler_pairing", "ExtendedVector", "tuple", lambda: euler_pairing(PRODUCT, TRIPLE, POINT)),
+    ("mukai_vector", "ExtendedVector", "tuple", lambda: mukai_vector(PRODUCT, TRIPLE)),
+    ("mukai_pairing", "ExtendedVector", "tuple", lambda: mukai_pairing(PRODUCT, POINT, TRIPLE)),
+    ("moduli_dim_expectation", "ExtendedVector", "tuple", lambda: moduli_dim_expectation(PRODUCT, TRIPLE)),
+    ("validate_cover", "CoverTransfer", "Matrix", lambda: validate_cover(SWAP_EXT)),
+    ("degree_identity", "CoverTransfer", "Matrix", lambda: degree_identity(SWAP_EXT)),
+    ("pullback_ch", "ExtendedVector", "tuple", lambda: pullback_ch(BI2, TRIPLE)),
+    ("pushforward_ch", "CoverTransfer", "Matrix", lambda: pushforward_ch(SWAP_EXT, POINT)),
+    ("chi_adjunction_check", "ExtendedVector", "tuple", lambda: chi_adjunction_check(BI2, BASE_POINT, TRIPLE)),
+    ("freeness_gcd", "ExtendedVector", "tuple", lambda: freeness_gcd(BI2, TRIPLE)),
+    ("orbit_sum", "GActionLattice", "Matrix", lambda: orbit_sum(SWAP_EXT, POINT, 1)),
+    ("orbit_sum", "ExtendedVector", "tuple", lambda: orbit_sum(SWAP, TRIPLE, 1)),
+    ("divisibility_obstruction", "CoverTransfer", "Matrix", lambda: divisibility_obstruction(SWAP_EXT, POINT, 1)),
+    ("check_equivariant", "LatticeIsometry", "Matrix", lambda: check_equivariant(SWAP_EXT, SWAP, SWAP)),
+    ("lift_isometry", "LatticeIsometry", "Matrix", lambda: lift_isometry(SWAP_EXT, BI2, BI2)),
+    ("descend_isometry", "CoverTransfer", "Matrix", lambda: descend_isometry(PHI, SWAP_EXT, BI2)),
+])
+def test_a_wrong_argument_type_is_the_shared_type_error(name, cls, got, call):
+    article = "an" if cls[0] in "AEIOU" else "a"
+    with pytest.raises(TypeError, match=f"^{name} needs {article} {cls}, got {got}$"):
+        call()
