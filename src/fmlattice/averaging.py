@@ -39,8 +39,8 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .lattice import (DimensionError, Matrix, Value, _cleared, _divided, _needs, _set, as_rational,
-                      block_diagonal, pivot_columns, rank, vector)
+from .lattice import (DimensionError, Matrix, Value, _cleared, _divided, _needs, _quotient, _set,
+                      as_rational, block_diagonal, pivot_columns, rank, vector)
 
 
 MAX_ORDER = 1000  # check_equivariant, for one, returns one exponent per element of the order
@@ -239,31 +239,33 @@ def _polydiv_exact(num, den):
 def _companion(poly) -> Matrix:
     """Ones below the diagonal and -poly[:-1] down the last column."""
     deg = len(poly) - 1
-    return Matrix([[int(i == j + 1) for j in range(deg - 1)] + [-poly[i]] for i in range(deg)])
+    return _quotient([[int(i == j + 1) for j in range(deg - 1)] + [-poly[i]] for i in range(deg)], 1)
 
 
 def _cycle_matrix(k: int) -> Matrix:
     """The permutation matrix of the k-cycle e_i -> e_(i+1 mod k)."""
-    return Matrix([[int(j == (i - 1) % k) for j in range(k)] for i in range(k)])
+    return _quotient([[int(j == (i - 1) % k) for j in range(k)] for i in range(k)], 1)
 
 
 def random_rep(rng: random.Random, max_order: int = 12, max_dim: int = 20) -> CyclicRep:
     """A random rational representation of a cyclic group, for test suites.
 
     Block-diagonal pieces (trivial lines, permutation cycles, cyclotomic
-    companion blocks) are conjugated by a random integer change of basis:
-    unimodular most of the time, giving integer matrices, and merely
-    invertible otherwise, giving genuinely rational ones.  Both bounds are
-    read as CyclicRep reads order and dim: bools and floats raise
-    TypeError, other non-integers ValueError.  Raises ValueError unless
-    1 <= max_order <= MAX_ORDER and 1 <= max_dim <= MAX_RANDOM_DIM.
+    companion blocks) are conjugated in place by random elementary steps
+    E g E^-1, so no change of basis or inverse is formed: unimodular steps
+    most of the time, giving integer matrices, and otherwise one last
+    scaling of a row by k and its column by 1/k, giving genuinely rational
+    ones.  Both bounds are read as CyclicRep reads order and dim: bools and
+    floats raise TypeError, other non-integers ValueError.  Raises
+    ValueError unless 1 <= max_order <= MAX_ORDER and
+    1 <= max_dim <= MAX_RANDOM_DIM.
     """
     max_order, max_dim = as_rational(max_order), as_rational(max_dim)
     if not (isinstance(max_order, int) and isinstance(max_dim, int)):
         raise ValueError("random_rep needs integer max_order and max_dim")
     if not (1 <= max_order <= MAX_ORDER and max_dim >= 1):
         raise ValueError(f"random_rep needs 1 <= max_order <= {MAX_ORDER} and max_dim >= 1")
-    if max_dim > MAX_RANDOM_DIM:  # the change of basis is two dense max_dim x max_dim lists
+    if max_dim > MAX_RANDOM_DIM:  # the generator is conjugated as a dense max_dim x max_dim list
         raise ValueError(f"random_rep needs max_dim <= {MAX_RANDOM_DIM}")
     order = rng.randint(1, max_order)
     dim = rng.randint(1, max_dim)
@@ -287,33 +289,19 @@ def random_rep(rng: random.Random, max_order: int = 12, max_dim: int = 20) -> Cy
         block = build(arg)  # only the drawn block is built
         blocks.append(block)
         filled += block.nrows
-    gen = block_diagonal(blocks)
-    basis, basis_inv = _random_basis_pair(rng, dim, unimodular=rng.random() < 0.75)
-    gen = basis @ gen @ basis_inv
-    return CyclicRep(order, dim, gen)
-
-
-def _random_basis_pair(rng: random.Random, n: int, unimodular: bool):
-    """A random invertible integer matrix together with its exact inverse.
-
-    The inverse is maintained through the same elementary operations, so
-    no elimination is ever run.
-    """
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
+    gen = [list(row) for row in block_diagonal(blocks).entries]
+    unimodular = rng.random() < 0.75
+    for _ in range(2 * dim):  # g -> E g E^-1 for E = 1 + q e_ij
+        i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j:
             continue
         q = rng.choice([-2, -1, 1, 2])
-        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-        for row in inv:  # right-multiply by the inverse operation
+        gen[i] = [x + q * y for x, y in zip(gen[i], gen[j])]  # row i += q row j
+        for row in gen:  # then column j -= q column i
             row[j] -= q * row[i]
-    if not unimodular and n > 1:
-        i = rng.randrange(n)
-        k = rng.choice([2, 3])
-        rows[i] = [x * k for x in rows[i]]
-        scale = Fraction(1, k)
-        for row in inv:
-            row[i] *= scale
-    return Matrix(rows), Matrix(inv)
+    k = 1
+    if not unimodular and dim > 1:  # row i times k, column i over k, in k times g to stay integral
+        i, k = rng.randrange(dim), rng.choice([2, 3])
+        gen[i] = [k * x for x in gen[i]]
+        gen = [[x if j == i else k * x for j, x in enumerate(row)] for row in gen]
+    return CyclicRep(order, dim, _quotient(gen, k))

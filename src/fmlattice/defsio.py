@@ -62,51 +62,33 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of text, each with its line and its column: one plus the
+    characters before it on its line, a comment's characters not counted."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    size = len(text)
+    line, start, i, size = 1, 0, 0, len(text)  # start: where the line's count begins
     while i < size:
-        ch = text[i]
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
+        ch, begin, col = text[i], i, i - start + 1
+        if ch == "#":  # skip to the newline or the end; what follows gets the column of the '#'
+            i = text.find("\n", i) % (size + 1)  # find's -1, no newline, gives size
+            start += i - begin
             continue
+        i += 1
         if ch == "\n":
             tokens.append(_Token("newline", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in "{}[],;":
+            line, start = line + 1, i
+        elif ch in "{}[],;":
             tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < size and text[i + 1].isdigit()):
-            start = i
-            start_col = col
-            i += 1
-            col += 1
+        elif ch.isdigit() or (ch == "-" and i < size and text[i].isdigit()):
             while i < size and (text[i].isdigit() or text[i] == "/"):
                 i += 1
-                col += 1
-            tokens.append(_Token("number", text[start:i], line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
+            tokens.append(_Token("number", text[begin:i], line, col))
+        elif ch.isalpha() or ch == "_":
             while i < size and (text[i].isalnum() or text[i] in "_.-"):
                 i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
-            continue
-        raise DefsParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("newline", "\n", line, col))
+            tokens.append(_Token("ident", text[begin:i], line, col))
+        elif ch not in " \t\r":
+            raise DefsParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("newline", "\n", line, i - start + 1))
     return tokens
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 
 from .covers import CoverTransfer
-from .lattice import Matrix, Value, _needs, as_rational, solve_rational
+from .lattice import Matrix, Value, _divided, _image, _needs, as_rational, solve_rational
 from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi, _on
 from .transport import GActionLattice
 
@@ -72,13 +71,12 @@ def generator_set(surface: NumericalSurface) -> list:
 def freeness_gcd(t: CoverTransfer, e: ExtendedVector) -> GcdCertificate:
     """The descent certificate of a class e on the cover of t: the values
     chi(F, push e) over the generators F are euler_gram(base) push e, the
-    integer rows of t.euler_push times e's cleared coordinates, divided once."""
+    image of e's cleared coordinates under t.euler_push, divided once."""
     _on(_needs(t, CoverTransfer, "freeness_gcd").cover, "freeness_gcd", e)
     if any(row[j] % 2 for j, row in enumerate(t.base.num.gram.entries)):
         generator_set(t.base)  # raises the parity error of the first odd e_j
-    rows, d = t.euler_push._ints()
-    u, du = e._ints
-    values = [_integral_chi(sum(map(mul, row, u)), d * du) for row in rows]
+    w, d = _image(t.euler_push, e._ints)
+    values = w if d == 1 else [_integral_chi(chi) for chi in _divided(w, d)[0]]
     return GcdCertificate.from_values(zip(_labels(t.base.dim), values))
 
 
@@ -119,10 +117,11 @@ class ObstructionReport(Value):
 def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> ObstructionReport:
     """Check the divisibility forced on chi values by a non-free orbit.
 
-    The orbit sum is computed with the numerically trivial deck action --
-    the deck transformations of every modeled canonical cover act as the
-    identity on the extended lattice -- so it equals m*e.  The sum must be
-    the pullback of an integral class for the obstruction to apply.
+    The obstruction applies only when m*e is the pullback of an integral
+    class, and then the length-m orbit sum is m*e whatever the deck action
+    (a deck may act nontrivially, say by swapping two E8 summands):
+    pullbacks are deck-invariant, so m*e in pull Lambda_X makes e, on a
+    lattice without torsion, invariant too, and each (g^i)* e is e.
     """
     _needs(e, ExtendedVector, "divisibility_obstruction")
     n = _needs(t, CoverTransfer, "divisibility_obstruction").degree

@@ -19,21 +19,24 @@ and the value types built on a Matrix refuse any other argument with one
 TypeError (_needs), as do the domain functions of the modules above.
 
 There is one way into the integers and one way out: _cleared writes a
-matrix as integer rows over one common denominator d (det divides by d^n
-at the end), and _divided divides ints exactly, to ints where it can and
-Fractions elsewhere, flagging whether all were ints; _quotient makes the
-divided rows of a product or a scaling a trusted Matrix.  Each matrix is
-cleared once: _ints caches its integer rows (tuples, so no elimination
-changes them in place) and d; _sizes, read by products only, caches
-their max |entry| and nonzero count.  An ExtendedVector (surfaces)
-caches its cleared coordinates the same way, and a pairing applies
-integer rows to them and divides once.  Smith normal form and integer
-solving share one pass loop on [[m, R], [I, 0]]: row operations on its
-first nrows rows move m and R together, column operations on its first
-ncols m and V; a column pass is a row pass on the transpose.  R = I
-gives U, R = b gives U b alone.  A pass rewrites rows from the pivot
-column on, scans once per Euclid step, and leaves echelon form, so the
-test that m is diagonal reads one slice per row (_hnf, _smith).
+matrix (or vectors) as integer rows over one common denominator d (det
+divides by d^n at the end), and _divided divides ints exactly, to ints
+where it can and Fractions elsewhere, flagging whether all were ints;
+_quotient makes the divided rows of a product or a scaling a trusted
+Matrix.  Each matrix is cleared once: _ints caches its integer rows
+(tuples, so no elimination changes them in place) and d; _sizes, read by
+products only, caches their max |entry| and nonzero count.  A matrix
+meets a vector in one place: _image applies its integer rows to a vector
+cleared to (integers, d) (Matrix.apply, the gcd certificate), and
+_pairing pairs two cleared vectors through _image, dividing once
+(BilinearForm.pair; the Euler and Mukai pairings, on the coordinates an
+ExtendedVector caches cleared).  Smith normal form and integer solving
+share one pass loop on [[m, R], [I, 0]]: row operations on its first
+nrows rows move m and R together, column operations on its first ncols
+m and V; a column pass is a row pass on the transpose.  R = I gives U,
+R = b gives U b alone.  A pass rewrites rows from the pivot column on,
+scans once per Euclid step, and leaves echelon form, so the test that m
+is diagonal reads one slice per row (_hnf, _smith).
 
 Ranks, determinants, solutions and reduced forms start from one forward
 elimination (_eliminate) of m, or of [m | b], cleared to integers.  With
@@ -109,12 +112,6 @@ def vector(entries) -> tuple:
     if type(entries) is tuple and all([type(x) is int for x in entries]):
         return entries
     return tuple([_exact(x) for x in entries])
-
-
-def dot(u, v):
-    if len(u) != len(v):
-        raise DimensionError("vectors of unequal length")
-    return sum(map(mul, u, v))
 
 
 class Matrix:
@@ -228,14 +225,13 @@ class Matrix:
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise DimensionError(f"vector of length {len(v)} against {self.nrows}x{self.ncols}")
-        rows, d = self._ints()
-        if not all(type(x) is int for x in v):
+        d = 1
+        if not all([type(x) is int for x in v]):
             v = vector(v)  # Fractions of denominator 1 become ints: most vectors need no clearing
-            if not all(type(x) is int for x in v):
-                (v,), dv = _cleared((v,), False)
-                d *= dv
-        out = [sum(map(mul, row, v)) for row in rows]
-        return tuple(out if d == 1 else _divided(out, d)[0])
+            if not all([type(x) is int for x in v]):
+                (v,), d = _cleared((v,), False)
+        w, d = _image(self, (v, d))
+        return tuple(w if d == 1 else _divided(w, d)[0])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, add, "addition")
@@ -313,6 +309,19 @@ def _cleared(rows, integral: bool) -> tuple:
         return rows, 1
     d = lcm(*[x.denominator for row in rows for x in row])
     return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows]), d
+
+
+def _image(m: Matrix, v) -> tuple:
+    """(w, d), m v = w / d for v cleared to (u, du): m's integer rows applied to u."""
+    (u, du), (rows, d) = v, m._ints()
+    return [sum(map(mul, row, u)) for row in rows], d * du
+
+
+def _pairing(a, m: Matrix, b):
+    """a^T m b for cleared vectors a and b: a's integers times the _image of b, divided once."""
+    (u, du), (w, d) = a, _image(m, b)
+    x = sum(map(mul, u, w))
+    return x if (d := d * du) == 1 else _divided((x,), d)[0][0]
 
 
 def _sparse_product(a, b, p: int) -> list:
@@ -746,4 +755,7 @@ class BilinearForm(Value):
     def pair(self, u, v):
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionError("vector length does not match the lattice rank")
-        return dot(u, self.gram.apply(v))
+        if [*map(type, u), *map(type, v)].count(int) == 2 * self.dim:  # all ints, the common case
+            return _pairing((u, 1), self.gram, (v, 1))
+        (v, u), d = _cleared((vector(v), vector(u)), False)  # v's entries are checked first
+        return _pairing((u, d), self.gram, (v, d))

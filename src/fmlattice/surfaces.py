@@ -20,8 +20,9 @@ all live on the one graded lattice H^0 + Num + H^4, so they are values of
 one type, ExtendedVector(r, c, s).  ChernCharacter and MukaiVector are
 other names for it, ch2 reads s, and mukai_vector converts a Chern
 character to its Mukai vector.  A vector's coordinates are cleared to
-integers over the denominator of s once (_ints); the Euler pairing and the
-gcd certificate divide only at the end, and character tests parity in ints.
+integers over the denominator of s once (_ints); the Euler and Mukai
+pairings and the gcd certificate apply integer rows to them (lattice's
+_image) and divide only at the end, and character tests parity in ints.
 
 The "special" condition (invariance of a sheaf under twisting by the
 canonical bundle) is numerically invisible here: a numerically trivial
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
-from .lattice import BilinearForm, DimensionError, Matrix, Value, _needs, _set, as_rational, dot
+from .lattice import BilinearForm, DimensionError, Matrix, Value, _needs, _pairing, _set, as_rational
 
 
 class InvariantError(ValueError):
@@ -179,20 +179,17 @@ def _on(surface, fn: str, *classes) -> None:
 
 
 def euler_pairing(surface: NumericalSurface, e, f) -> int:
-    """chi(E, F) = coords(E)^T X coords(F) for X = surface.euler_gram, the
-    integer rows of X applied to the cleared coordinates, divided once."""
+    """chi(E, F) = coords(E)^T X coords(F) for X = surface.euler_gram, paired
+    in the cleared coordinates of E and F."""
     _on(surface, "euler_pairing", e, f)
-    (u, du), (v, dv) = e._ints, f._ints
-    rows, d = surface.euler_gram._ints()
-    return _integral_chi(dot(u, [sum(map(mul, row, v)) for row in rows]), d * du * dv)
+    return _integral_chi(_pairing(e._ints, surface.euler_gram, f._ints))
 
 
-def _integral_chi(chi: int, d: int) -> int:
-    """chi / d as an int; only classes violating the parity invariant fail."""
-    q, r = divmod(chi, d)
-    if r:
-        raise InvariantError(f"chi(E,F) = {Fraction(chi, d)} is not an integer")
-    return q
+def _integral_chi(chi) -> int:
+    """chi as it is when an int; only classes violating the parity invariant give a Fraction."""
+    if type(chi) is not int:
+        raise InvariantError(f"chi(E,F) = {chi} is not an integer")
+    return chi
 
 
 def mukai_vector(surface: NumericalSurface, e: ExtendedVector) -> ExtendedVector:
@@ -202,10 +199,10 @@ def mukai_vector(surface: NumericalSurface, e: ExtendedVector) -> ExtendedVector
 
 
 def mukai_pairing(surface: NumericalSurface, v, w):
-    """<v, w> = c_v . c_w - r_v s_w - r_w s_v; satisfies
-    <v(E), v(F)> = -chi(E, F)."""
+    """<v, w> = c_v . c_w - r_v s_w - r_w s_v, paired through surface.mukai_gram
+    in the cleared coordinates of v and w; satisfies <v(E), v(F)> = -chi(E, F)."""
     _on(surface, "mukai_pairing", v, w)
-    return as_rational(surface.num.pair(v.c, w.c) - v.r * w.s - w.r * v.s)
+    return _pairing(v._ints, surface.mukai_gram, w._ints)
 
 
 def moduli_dim_expectation(surface: NumericalSurface, e) -> int:

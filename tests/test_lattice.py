@@ -576,6 +576,15 @@ class TestBilinearForm:
         assert u.pair((1, 0), (0, 1)) == 1
         assert u.pair((1, 1), (1, 1)) == 2
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False], ids=repr)
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_refuses_a_float_or_bool_in_either_vector(self, bad, first):
+        # a float in the first vector used to give a float (pair((0.5,), (1,)) was 1.0)
+        form = BilinearForm.from_rows([[2, 1], [1, 2]])
+        u, v = ((bad, 1), (1, 1)) if first else ((1, 1), (1, bad))
+        with pytest.raises(TypeError, match="exact number expected"):
+            form.pair(u, v)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             BilinearForm.from_rows([[0, 1], [2, 0]])
@@ -616,6 +625,39 @@ def test_no_tuple_is_built_straight_from_an_iterator(path):
     # session of cheap calls raises peak memory; build tuples from lists
     lines = list(tuples_over_iterators(ast.parse(path.read_text(encoding="utf-8"))))
     assert lines == [], f"{path.name}: tuple() over an iterator on lines {lines}"
+
+
+def integer_row_loops(tree):
+    """Line numbers of sum(map(mul, ...)), the loop that applies an integer
+    row to a vector."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+                and node.args and isinstance(arg := node.args[0], ast.Call)
+                and isinstance(arg.func, ast.Name) and arg.func.id == "map"
+                and arg.args and isinstance(arg.args[0], ast.Name) and arg.args[0].id == "mul"):
+            yield node.lineno
+
+
+# a matrix meets a vector in lattice._image and two vectors meet in
+# lattice._pairing, so class pairings stay inside the kernel; the orbit
+# loop of averaging.descend_invariant stays inline for speed
+ROW_LOOP_MODULES = ("lattice.py", "averaging.py")
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py")) if path.name not in ROW_LOOP_MODULES],
+                         ids=lambda path: path.name)
+def test_integer_rows_are_applied_only_in_the_kernel(path):
+    lines = list(integer_row_loops(ast.parse(path.read_text(encoding="utf-8"))))
+    assert lines == [], f"{path.name}: sum(map(mul, ...)) on lines {lines}"
+
+
+def test_the_integer_row_lint_finds_the_form_it_refuses():
+    source = ("sum(map(mul, row, v))\nsum(map(mul, u, [sum(map(mul, r, v)) for r in rows]))\n"
+              "sum(map(add, u, v))\nsum([x * y for x, y in zip(u, v)])\nmax(map(mul, u, v))\n")
+    assert list(integer_row_loops(ast.parse(source))) == [1, 2, 2]
+    assert {path.name for path in SRC.glob("*.py")} >= {*ROW_LOOP_MODULES, "surfaces.py", "descent.py"}
+    for name in ROW_LOOP_MODULES:  # the exempt modules still hold the loop the lint keeps out of the rest
+        assert list(integer_row_loops(ast.parse((SRC / name).read_text(encoding="utf-8"))))
 
 
 def test_the_tuple_lint_finds_each_form_it_refuses():

@@ -31,7 +31,6 @@ from fmlattice.averaging import (
     _companion,
     _cycle_matrix,
     _cyclotomic,
-    _random_basis_pair,
     descend_invariant,
     difference_operator,
     norm_operator,
@@ -586,9 +585,32 @@ def scan_all_divisors_random_rep(rng, max_order, max_dim):
         blocks.append(block)
         filled += block.nrows
     gen = block_diagonal(blocks)
-    basis, basis_inv = _random_basis_pair(rng, dim, unimodular=rng.random() < 0.75)
+    basis, basis_inv = reference_basis_pair(rng, dim, unimodular=rng.random() < 0.75)
     gen = basis @ gen @ basis_inv
     return CyclicRep(order, dim, gen)
+
+
+def reference_basis_pair(rng, n, unimodular):
+    """random_rep's change of basis as it was drawn before random_rep
+    conjugated the generator in place: a random invertible integer matrix
+    and its exact inverse, kept side by side through the same steps."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        q = rng.choice([-2, -1, 1, 2])
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        for row in inv:  # right-multiply by the inverse operation
+            row[j] -= q * row[i]
+    if not unimodular and n > 1:
+        i = rng.randrange(n)
+        k = rng.choice([2, 3])
+        rows[i] = [x * k for x in rows[i]]
+        for row in inv:
+            row[i] *= Fraction(1, k)
+    return Matrix(rows), Matrix(inv)
 
 
 @SETTINGS
@@ -884,6 +906,37 @@ def test_cleared_freeness_gcd_matches_fraction_arithmetic(item, data):
     assert cert.gcd == gcd(*values) and cert.free == (cert.gcd == 1)
 
 
+# mukai_pairing and BilinearForm.pair run through the cleared pairing of
+# the lattice kernel; here both are compared with plain Fraction sums of
+# their formulas on the two chi-odd Enriques lattices, with s and the
+# vector entries half-integral.
+halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
+
+
+def plain_pair(gram, u, v):
+    return sum([Fraction(a) * x * b for a, row in zip(u, gram) for x, b in zip(row, v)], Fraction(0))
+
+
+def assert_exact(got, expected):
+    """got is expected, as an int when whole and as a Fraction otherwise."""
+    assert got == expected and type(got) is (int if expected.denominator == 1 else Fraction)
+
+
+@SETTINGS
+@given(st.sampled_from(["enriques_toy", "enriques_e10"]), st.data())
+def test_cleared_mukai_pairing_and_form_pair_match_plain_fraction_sums(name, data):
+    surface = LIFT_CATALOG.surfaces[name]
+    gram, n = surface.num.gram.entries, surface.dim
+    (r, c, _), (rf, cf, _) = data.draw(triples(n)), data.draw(triples(n))
+    s, sf = data.draw(halves), data.draw(halves)
+    e, f = ExtendedVector(r, c, s), ExtendedVector(rf, cf, sf)
+    assert_exact(mukai_pairing(surface, e, f), plain_pair(gram, c, cf) - r * sf - rf * s)
+    entries = st.lists(st.one_of(st.integers(-6, 6), halves), min_size=n, max_size=n)
+    u, v = data.draw(entries), data.draw(entries)
+    for a, b in ((u, v), (tuple(v), c), (c, cf), (c, c)):
+        assert_exact(surface.num.pair(a, b), plain_pair(gram, a, b))
+
+
 def isometry_word(surface, picks):
     """The product of line-bundle twists by basis divisors and their
     negatives, total negation and negation on Num, chosen by picks."""
@@ -1072,6 +1125,80 @@ def test_equivariance_and_orbit_sums_match_stated_order_loops(case, data):
             orbit_sum(a_y, e, m)
     else:
         assert repr(orbit_sum(a_y, e, m)) == expected
+
+
+def reference_tokenize(text):
+    """The definitions tokenizer as it was when it counted each token's
+    column character by character: a comment's characters are not counted,
+    so the newline or end after a comment has the column of its '#'."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    size = len(text)
+    while i < size:
+        ch = text[i]
+        if ch == "#":
+            while i < size and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            tokens.append(_Token("newline", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch in "{}[],;":
+            tokens.append(_Token("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < size and text[i + 1].isdigit()):
+            start = i
+            start_col = col
+            i += 1
+            col += 1
+            while i < size and (text[i].isdigit() or text[i] == "/"):
+                i += 1
+                col += 1
+            tokens.append(_Token("number", text[start:i], line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            start_col = col
+            while i < size and (text[i].isalnum() or text[i] in "_.-"):
+                i += 1
+                col += 1
+            tokens.append(_Token("ident", text[start:i], line, start_col))
+            continue
+        raise DefsParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("newline", "\n", line, col))
+    return tokens
+
+
+def token_outcome(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except DefsParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# ASCII (control characters included) mixed with characters that
+# str.isdigit() ("²", "١"), str.isalpha() ("é", "五") or only str.isalnum()
+# ("Ⅻ") accepts, and with the characters the tokenizer treats specially.
+TOKENIZER_ALPHABET = st.one_of(st.characters(min_codepoint=0, max_codepoint=127),
+                               st.sampled_from(list("²١é五Ⅻ") + list("{}[],;#-/_. \t\r\n0a")))
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.text(TOKENIZER_ALPHABET, max_size=48))
+@example("a # note")
+@example("x 1/2 # note\n  -3 ²1 Ⅻ五")
+def test_tokenizer_matches_the_column_counting_reference(text):
+    assert token_outcome(_tokenize, text) == token_outcome(reference_tokenize, text)
 
 
 # Literal texts mix ASCII digits, non-ASCII characters that str.isdigit()
