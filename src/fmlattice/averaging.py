@@ -39,8 +39,8 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .lattice import (DimensionError, Matrix, Value, _cleared, _divided, _needs, _quotient, _set,
-                      as_rational, block_diagonal, pivot_columns, rank, vector)
+from .lattice import (DimensionError, Matrix, Value, _cleared, _divided, _integers, _needs, _quotient, _set,
+                      block_diagonal, pivot_columns, rank, vector)
 
 
 MAX_ORDER = 1000  # check_equivariant, for one, returns one exponent per element of the order
@@ -54,10 +54,7 @@ class CyclicRep(Value):
 
     def __init__(self, order: int, dim: int, gen: Matrix):
         for name, value in (("order", order), ("dim", dim)):
-            value = as_rational(value)  # bools and floats raise TypeError
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
-            _set(self, name, value)
+            _set(self, name, _integers([value], ValueError, f"{name} must be a positive integer", lambda n: n >= 1)[0])
         _needs(gen, Matrix, type(self).__name__)
         _set(self, "gen", gen)
         self.__post_init__()  # through self: GActionLattice's checks more, timed by bench/tracing.py
@@ -257,17 +254,15 @@ def random_rep(rng: random.Random, max_order: int = 12, max_dim: int = 20) -> Cy
     scaling of a row by k and its column by 1/k, giving genuinely rational
     ones.  Both bounds are read as CyclicRep reads order and dim: bools and
     floats raise TypeError, other non-integers ValueError.  Raises
-    ValueError unless 1 <= max_order <= MAX_ORDER and
-    1 <= max_dim <= MAX_RANDOM_DIM.
+    ValueError unless 1 <= max_order <= MAX_ORDER and 1 <= max_dim <=
+    MAX_RANDOM_DIM, then TypeError unless rng is a random.Random.
     """
-    max_order, max_dim = as_rational(max_order), as_rational(max_dim)
-    if not (isinstance(max_order, int) and isinstance(max_dim, int)):
-        raise ValueError("random_rep needs integer max_order and max_dim")
+    max_order, max_dim = _integers([max_order, max_dim], ValueError, "random_rep needs integer max_order and max_dim")
     if not (1 <= max_order <= MAX_ORDER and max_dim >= 1):
         raise ValueError(f"random_rep needs 1 <= max_order <= {MAX_ORDER} and max_dim >= 1")
     if max_dim > MAX_RANDOM_DIM:  # the generator is conjugated as a dense max_dim x max_dim list
         raise ValueError(f"random_rep needs max_dim <= {MAX_RANDOM_DIM}")
-    order = rng.randint(1, max_order)
+    order = _needs(rng, random.Random, "random_rep").randint(1, max_order)
     dim = rng.randint(1, max_dim)
     # Euler's phi of each divisor k of order, from sum(phi(d) for d | k) = k.
     # phi(k) >= sqrt(k/2), so no divisor above 2 dim^2 gives a block that fits.

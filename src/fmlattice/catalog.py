@@ -16,7 +16,7 @@ from types import MappingProxyType
 from .covers import pushforward_ch
 from .defsio import load_definitions
 from .descent import freeness_gcd
-from .lattice import Value
+from .lattice import Value, _needs
 from .surfaces import euler_pairing, moduli_dim_expectation
 
 
@@ -92,7 +92,7 @@ def reproduce(example_id: str, catalog: Catalog | None = None) -> ReproReport:
     if example_id not in _SCRIPTS:
         raise ValueError(f"unknown example id {example_id!r}; "
                          f"known: {', '.join(EXAMPLE_IDS)}")
-    rows = _SCRIPTS[example_id](catalog or builtin_catalog())
+    rows = _SCRIPTS[example_id](_needs(catalog or builtin_catalog(), Catalog, "reproduce"))
     return ReproReport(example_id, tuple([ReproCheck(n, str(c), str(e)) for n, c, e in rows]))
 
 

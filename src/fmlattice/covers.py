@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .lattice import DimensionError, Matrix, Value, _needs, as_rational, block_diagonal
+from .lattice import DimensionError, Matrix, Value, _integers, _needs, block_diagonal
 from .surfaces import ExtendedVector, NumericalSurface, _on, euler_pairing
 
 
@@ -51,9 +51,9 @@ class CoverTransfer(Value):
 
     def __init__(self, base: NumericalSurface, cover: NumericalSurface, degree: int,
                  pull_num: Matrix, push_num: Matrix):
-        degree = as_rational(degree)  # bools and floats raise TypeError
-        if not isinstance(degree, int) or degree < 1:
-            raise ValueError("cover degree must be a positive integer")
+        for value, cls in ((base, NumericalSurface), (cover, NumericalSurface), (pull_num, Matrix), (push_num, Matrix)):
+            _needs(value, cls, "CoverTransfer")
+        degree, = _integers([degree], ValueError, "cover degree must be a positive integer", lambda n: n >= 1)
         if cover.canonical_order != 1:
             raise ValueError(
                 f"covering surface {cover.name} must have trivial canonical bundle")

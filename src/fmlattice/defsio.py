@@ -22,11 +22,10 @@ offending block and condition.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .covers import CoverTransfer, validate_cover
-from .lattice import BilinearForm, Matrix, Value
+from .lattice import BilinearForm, Matrix, Value, _number
 from .surfaces import ExtendedVector, NumericalSurface
 from .transport import GActionLattice
 
@@ -154,19 +153,15 @@ def _blocks(tokens):
 
 
 def _parse_number(tok, allow_fraction):
-    """The value of a number token, or of the text of one at line 1, column 1."""
+    """The value (lattice._number) of a number token, shaped by the tokenizer, or of text at line 1, column 1."""
     text, line, column = (tok, 1, 1) if isinstance(tok, str) else tok[1:]
     try:
-        if "/" not in text:
-            # int() accepts and rejects the same slash-free tokens as
-            # Fraction() and gives the same value, at a fraction of the cost
-            return int(text)
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        value = _number(text, shaped=not isinstance(tok, str))
+    except ValueError:
         raise DefsParseError(f"bad number {text!r}", line, column) from None
-    if not allow_fraction and value.denominator != 1:
+    if not allow_fraction and type(value) is not int:
         raise DefsParseError("expected an integer", line, column)
-    return int(value) if value.denominator == 1 else value
+    return value
 
 
 # The value readers of _SCHEMA.  Each takes a field's value tokens, its key
@@ -246,23 +241,19 @@ def _matrix(allow_fraction):
 
 def parse_number_text(text: str, allow_fraction=True):
     """Parse a standalone INT, or RAT when allow_fraction, like '-3/2'."""
-    # the shape of one number token: an optional "-", a digit, digits and "/"
-    digits = text[1:] if text.startswith("-") else text
-    if not digits[:1].isdigit() or not digits.replace("/", "").isdigit():
-        raise DefsParseError(f"bad number {text!r}", 1, 1)
     return _parse_number(text, allow_fraction)
 
 
 def parse_matrix_text(text: str, allow_fraction=True) -> Matrix:
     """Parse a standalone MATRIX literal like '[1,0;0,2]'."""
     # ASCII numbers and no spaces, the usual command-line form, split fast;
-    # _parse_number normalises every entry, so equal rows make a trusted Matrix
+    # _number normalises every entry, so equal rows make a trusted Matrix
     if isinstance(text, str) and re.fullmatch(r"\[-?[0-9][0-9/]*(?:[,;]-?[0-9][0-9/]*)*\]", text):
         try:
-            rows = tuple([tuple([_parse_number(x, allow_fraction) for x in row.split(",")])
-                          for row in text[1:-1].split(";")])
-            if all([len(row) == len(rows[0]) for row in rows]):
-                return Matrix._trusted(rows, all([type(x) is int for row in rows for x in row]))
+            rows = tuple([tuple([_number(x, True) for x in row.split(",")]) for row in text[1:-1].split(";")])
+            integral = all([type(x) is int for row in rows for x in row])
+            if (integral or allow_fraction) and all([len(row) == len(rows[0]) for row in rows]):
+                return Matrix._trusted(rows, integral)
         except ValueError:
             pass  # the token pass below places the error
     tokens = [t for t in _tokenize(text) if t.kind != "newline"]

@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 
 from .covers import CoverTransfer
-from .lattice import Matrix, Value, _divided, _image, _needs, as_rational, solve_rational
+from .lattice import Matrix, Value, _divided, _image, _integers, _needs, as_rational, solve_rational
 from .surfaces import ExtendedVector, InvariantError, NumericalSurface, _integral_chi, _on
 from .transport import GActionLattice
 
@@ -47,12 +47,12 @@ class GcdCertificate(Value):
 
     @classmethod
     def from_values(cls, values) -> "GcdCertificate":
-        """Each value is exact like ExtendedVector's coordinates: floats and
-        bools raise TypeError, a non-integer raises InvariantError."""
-        values = tuple([(str(label), as_rational(v)) for label, v in values])
-        if not all(isinstance(v, int) for _, v in values):
-            raise InvariantError(f"chi values {values} must be integers")
-        g = math.gcd(*[v for _, v in values])
+        """The certificate of (label, value) pairs: labels read by str, values
+        as ExtendedVector's coordinates are (a number in the definitions form
+        too), floats and bools raising TypeError, a non-integer InvariantError."""
+        values = tuple([(str(label), as_rational(v)) for label, v in values])  # a TypeError comes first
+        chis = _integers([v for _, v in values], InvariantError, lambda *_: f"chi values {values} must be integers")
+        g = math.gcd(*chis)
         return cls(values, g, g == 1)
 
 
@@ -63,7 +63,7 @@ def _labels(dim: int) -> tuple:
 
 def generator_set(surface: NumericalSurface) -> list:
     """The labeled basis O, e1..ed, point of the numerical Grothendieck lattice."""
-    units = Matrix.identity(surface.extended_dim()).entries
+    units = Matrix.identity(_needs(surface, NumericalSurface, "generator_set").extended_dim()).entries
     return [(label, surface.character(u[0], u[1:-1], u[-1]))
             for label, u in zip(_labels(surface.dim), units)]
 
@@ -77,7 +77,7 @@ def freeness_gcd(t: CoverTransfer, e: ExtendedVector) -> GcdCertificate:
         generator_set(t.base)  # raises the parity error of the first odd e_j
     w, d = _image(t.euler_push, e._ints)
     values = w if d == 1 else [_integral_chi(chi) for chi in _divided(w, d)[0]]
-    return GcdCertificate.from_values(zip(_labels(t.base.dim), values))
+    return GcdCertificate(tuple(list(zip(_labels(t.base.dim), values))), g := math.gcd(*values), g == 1)
 
 
 def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVector:
@@ -88,9 +88,8 @@ def orbit_sum(action: GActionLattice, e: ExtendedVector, m: int) -> ExtendedVect
     non-integral rank or divisor coordinate (possible when the action
     mixes s into r or c and s is half-integral)."""
     _needs(action, GActionLattice, "orbit_sum")
-    m = as_rational(m)  # bools and floats raise TypeError
-    if not isinstance(m, int) or m < 1 or action.order % m:
-        raise ValueError(f"{m} does not divide the action order {action.order}")
+    m, = _integers([m], ValueError, lambda m: f"{m} does not divide the action order {action.order}",
+                   lambda m: m >= 1 and not action.order % m)
     _on(action.surface, "orbit_sum", e)
     coords = e.coords()
     pows = action.powers()
@@ -125,9 +124,8 @@ def divisibility_obstruction(t: CoverTransfer, e: ExtendedVector, m: int) -> Obs
     """
     _needs(e, ExtendedVector, "divisibility_obstruction")
     n = _needs(t, CoverTransfer, "divisibility_obstruction").degree
-    m = as_rational(m)  # bools and floats raise TypeError
-    if not isinstance(m, int) or m < 1 or n % m:
-        raise ValueError(f"{m} does not divide the cover degree {n}")
+    m, = _integers([m], ValueError, lambda m: f"{m} does not divide the cover degree {n}",
+                   lambda m: m >= 1 and not n % m)
     cert = freeness_gcd(t, e)  # refuses a class of the wrong length first
     preimage = solve_rational(t.pull_extended, tuple([m * x for x in e.coords()]))
     if preimage is None or not t.base.is_integral_class(preimage[0], preimage[1:-1], preimage[-1]):

@@ -96,15 +96,35 @@ def _exact(x):
     raise TypeError(f"exact number expected, got {type(x).__name__} {x!r}")
 
 
+def _number(text: str, shaped: bool = False):
+    """The value of text in the definitions form, '-'?digits('/'digits)?, checked unless shaped
+    (a tokenizer matched it); any other text, and a zero denominator, raises ValueError."""
+    try:
+        digits = text[1:] if text[:1] == "-" else text
+        if not (shaped or digits[:1].isdigit() and digits.replace("/", "").isdigit()):
+            raise ValueError
+        if "/" not in text:
+            return int(text)  # isdigit() passes '²', which int() and Fraction() refuse
+        value = Fraction(text)  # and '1/2/3', shaped as it is
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"bad number {text!r}") from None
+    return value.numerator if value.denominator == 1 else value
+
+
 def as_rational(x) -> Fraction | int:
-    """Parse an exact scalar from an int, Fraction or 'p/q' string; a zero
-    denominator raises ValueError, as a malformed string does."""
-    if isinstance(x, str):
-        try:
-            x = Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    return _exact(x)
+    """An exact scalar from an int, a Fraction or a number in the definitions form (_number)."""
+    return _number(x) if isinstance(x, str) else _exact(x)
+
+
+def _integers(values, error, message, ok=None) -> list:
+    """The values read by as_rational (bools and floats raise TypeError) if all are ints and ok(*values)
+    holds, ok when given; else error(message) is raised, message a str or a function of the values."""
+    read = [x if type(x) is int else as_rational(x) for x in values]
+    if all([isinstance(x, int) for x in read]) and (ok is None or ok(*read)):
+        return read
+    raise error(message if isinstance(message, str) else message(*read))
 
 
 def vector(entries) -> tuple:
@@ -263,8 +283,7 @@ class Matrix:
         return self.scale(k)
 
     def power(self, n: int) -> "Matrix":
-        if not isinstance(n := as_rational(n), int):  # bools and floats raise TypeError
-            raise ValueError("exponent must be an integer")
+        n, = _integers([n], ValueError, "exponent must be an integer")
         if not self.is_square:
             raise DimensionError("power of a non-square matrix")
         if n < 0:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .lattice import BilinearForm, DimensionError, Matrix, Value, _needs, _pairing, _set, as_rational
+from .lattice import BilinearForm, DimensionError, Matrix, Value, _integers, _needs, _pairing, _set, as_rational
 
 
 class InvariantError(ValueError):
@@ -49,11 +49,11 @@ class ExtendedVector(Value):
     (rank, c1, ch2), its Mukai vector (r, c, ch2 + r chi(O)/2) and their
     images under the cover transfers all live on this lattice.  Which one
     a vector is, is a matter of role; mukai_vector converts.  Every
-    coordinate must be exact (int, Fraction or a 'p/q' string): floats and
-    bools raise TypeError, a non-integral rank or divisor coordinate
-    raises InvariantError.  s may be half-integral and is kept as a
-    Fraction.  Validity against a particular lattice (length of c, parity
-    of 2 ch2 + c^2) is checked by NumericalSurface.character.
+    coordinate must be exact (an int, a Fraction or a number in the
+    definitions form): floats and bools raise TypeError, a non-integral
+    rank or divisor coordinate raises InvariantError.  s may be
+    half-integral, kept as a Fraction.  Validity against a lattice (length
+    of c, parity of 2 ch2 + c^2) is checked by NumericalSurface.character.
     """
 
     _fields = ("r", "c", "s")
@@ -63,9 +63,8 @@ class ExtendedVector(Value):
             raise TypeError(f"divisor must be a sequence, not {type(c).__name__}")
         c = tuple(c)
         if not (type(r) is int and all([type(x) is int for x in c])):
-            r, c = as_rational(r), tuple([as_rational(x) for x in c])
-            if not (isinstance(r, int) and all(isinstance(x, int) for x in c)):
-                raise InvariantError(f"rank {r} and divisor {c} must be integral")
+            r, *c = _integers([r, *c], InvariantError, lambda r, *c: f"rank {r} and divisor {c} must be integral")
+            c = tuple(c)
         _set(self, "r", r)
         _set(self, "c", c)
         _set(self, "s", s if type(s) is Fraction else Fraction(as_rational(s)))
@@ -101,20 +100,17 @@ class NumericalSurface(Value):
     whose canonical class is numerically trivial, so there is nothing to
     store.  canonical_order is the order of the canonical bundle in the
     Picard group (1 for K3 and abelian surfaces, 2 for Enriques,
-    2, 3, 4 or 6 for bielliptic).  chi_o and canonical_order are exact
-    like ExtendedVector's coordinates: floats and bools raise TypeError,
-    a non-integer raises InvariantError.
+    2, 3, 4 or 6 for bielliptic).  chi_o and canonical_order are read as
+    ExtendedVector's coordinates are (a number in the definitions form
+    too): floats and bools raise TypeError, a non-integer InvariantError.
     """
 
     _fields = ("name", "num", "chi_o", "canonical_order")
 
     def __init__(self, name: str, num: BilinearForm, chi_o: int, canonical_order: int):
-        chi_o = as_rational(chi_o)
-        order = as_rational(canonical_order)
-        if not isinstance(chi_o, int):
-            raise InvariantError(f"chi_o = {chi_o} must be an integer")
-        if not isinstance(order, int) or order < 1:
-            raise InvariantError("canonical_order must be a positive integer")
+        chi_o, order = as_rational(chi_o), as_rational(canonical_order)  # a TypeError comes first
+        chi_o, = _integers([chi_o], InvariantError, lambda chi_o: f"chi_o = {chi_o} must be an integer")
+        order, = _integers([order], InvariantError, "canonical_order must be a positive integer", lambda n: n >= 1)
         super().__init__(name, num, chi_o, order)
 
     @property

@@ -41,7 +41,7 @@ from math import gcd
 
 from .averaging import CyclicRep
 from .covers import CoverTransfer
-from .lattice import DimensionError, Matrix, Value, _needs, _set, as_rational, kernel_basis
+from .lattice import DimensionError, Matrix, Value, _integers, _needs, _set, kernel_basis
 from .surfaces import InvariantError, NumericalSurface
 
 
@@ -54,7 +54,7 @@ class GActionLattice(CyclicRep):
     _fields = ("order", "dim", "gen", "surface")
 
     def __init__(self, surface: NumericalSurface, order: int, gen: Matrix):
-        _set(self, "surface", surface)
+        _set(self, "surface", _needs(surface, NumericalSurface, "GActionLattice"))
         super().__init__(order, surface.extended_dim(), gen)
 
     def __post_init__(self):
@@ -73,10 +73,9 @@ class LatticeIsometry(Value):
     _fields = ("source", "target", "mat")
 
     def __init__(self, source: NumericalSurface, target: NumericalSurface, mat: Matrix):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _needs(mat, Matrix, "LatticeIsometry")
-        _set(self, "mat", mat)
+        _set(self, "mat", _needs(mat, Matrix, "LatticeIsometry"))
+        _set(self, "source", _needs(source, NumericalSurface, "LatticeIsometry"))
+        _set(self, "target", _needs(target, NumericalSurface, "LatticeIsometry"))
         self.__post_init__()  # through self: bench/tracing.py replaces it to time it
 
     def __post_init__(self):
@@ -92,16 +91,18 @@ class LatticeIsometry(Value):
 
 
 def identity_isometry(surface: NumericalSurface) -> LatticeIsometry:
-    return LatticeIsometry(surface, surface, Matrix.identity(surface.extended_dim()))
+    n = _needs(surface, NumericalSurface, "identity_isometry").extended_dim()
+    return LatticeIsometry(surface, surface, Matrix.identity(n))
 
 
 def minus_one(surface: NumericalSurface) -> LatticeIsometry:
-    return LatticeIsometry(surface, surface, -Matrix.identity(surface.extended_dim()))
+    n = _needs(surface, NumericalSurface, "minus_one").extended_dim()
+    return LatticeIsometry(surface, surface, -Matrix.identity(n))
 
 
 def num_negation(surface: NumericalSurface) -> LatticeIsometry:
     """-1 on the divisor lattice, +1 on H^0 and H^4."""
-    d = surface.dim
+    d = _needs(surface, NumericalSurface, "num_negation").dim
     diag = [1] + [-1] * d + [1]
     return LatticeIsometry(surface, surface, Matrix.diagonal(diag))
 
@@ -111,16 +112,15 @@ def tensor_twist(surface: NumericalSurface, divisor) -> LatticeIsometry:
     tensoring with a line bundle: (r, c, s) -> (r, c + r l, s + c.l + r l^2/2).
 
     Integral only when l^2 is even, which holds on every even lattice.
-    The coordinates of l are exact like ExtendedVector's: floats and
-    bools raise TypeError, a non-integer raises InvariantError.
+    The coordinates of l are read as ExtendedVector's are (a number in the
+    definitions form too): floats and bools raise TypeError, a non-integer
+    InvariantError; then a surface that is no NumericalSurface TypeError.
     """
-    ell = tuple([as_rational(x) for x in divisor])
-    if not all(isinstance(x, int) for x in ell):
-        raise InvariantError(f"divisor {ell} must be integral")
-    if len(ell) != surface.dim:
+    ell = tuple(_integers(divisor, InvariantError, lambda *ell: f"divisor {ell} must be integral"))
+    if len(ell) != _needs(surface, NumericalSurface, "tensor_twist").dim:
         raise DimensionError(f"divisor does not live on {surface.name}")
     g_ell = surface.num.gram.apply(ell)
-    half_sq = Fraction(surface.num.pair(ell, ell), 2)
+    half_sq = Fraction(sum([x * y for x, y in zip(ell, g_ell)]), 2)  # l^2 = l.(G l)
     rows = [[1] + [0] * (surface.dim + 1)]
     rows += [[x, *row, 0] for x, row in zip(ell, Matrix.identity(surface.dim).entries)]
     rows.append([half_sq, *g_ell, 1])
@@ -129,6 +129,7 @@ def tensor_twist(surface: NumericalSurface, divisor) -> LatticeIsometry:
 
 def check_order_compatibility(sx: NumericalSurface, sy: NumericalSurface) -> bool:
     """Surfaces related by a transform must have equal canonical orders."""
+    sx, sy = [_needs(s, NumericalSurface, "check_order_compatibility") for s in (sx, sy)]
     return sx.canonical_order == sy.canonical_order
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -360,6 +361,15 @@ class TestConstruction:
             CyclicRep(2.0, 2, swap)
         with pytest.raises(TypeError, match="float"):
             CyclicRep(2, 2.0, swap)
+
+    @pytest.mark.parametrize("field", ["order", "dim"])
+    @pytest.mark.parametrize("text", ["1e3", "0.5", " 2", "2_0"])
+    def test_rejects_order_and_dim_text_outside_the_definitions_form(self, field, text):
+        # as_rational handed these to Fraction(), which built order 1000 from '1e3'
+        fields = {"order": 1, "dim": 1, "gen": Matrix([[1]])}
+        fields[field] = text
+        with pytest.raises(ValueError, match=f"^{re.escape(f'bad number {text!r}')}$"):
+            CyclicRep(**fields)
 
     @pytest.mark.parametrize("field", ["order", "dim"])
     @pytest.mark.parametrize("value", [Fraction(3, 2), 0, -2])

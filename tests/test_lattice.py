@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 import sys
 import threading
 import time
@@ -523,6 +524,21 @@ def test_a_zero_denominator_is_a_value_error_naming_the_text(call):
         call()
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e3", " 1", "1_0", "+1", "1 / 2", "1/2/3", "²"])
+def test_as_rational_refuses_text_outside_the_definitions_form(text):
+    # Fraction() read the first six, some only on newer Pythons ('1_0' from
+    # 3.11, '1 / 2' from 3.12); the library reads number text as --defs
+    # files do, and names the text also where int() or Fraction() refuses it
+    with pytest.raises(ValueError, match=f"^{re.escape(f'bad number {text!r}')}$"):
+        lattice.as_rational(text)
+
+
+@pytest.mark.parametrize("text, value", [("-3", -3), ("4/2", 2), ("-3/6", Fraction(-1, 2)), ("007", 7)])
+def test_as_rational_reads_the_definitions_form(text, value):
+    assert lattice.as_rational(text) == value
+    assert type(lattice.as_rational(text)) is type(value)
+
+
 class TestSolveRoute:
     """A system whose integer answer is unique, m of full column rank, is
     solved by one forward elimination; only wide and rank-deficient m run
@@ -658,6 +674,28 @@ def test_the_integer_row_lint_finds_the_form_it_refuses():
     assert {path.name for path in SRC.glob("*.py")} >= {*ROW_LOOP_MODULES, "surfaces.py", "descent.py"}
     for name in ROW_LOOP_MODULES:  # the exempt modules still hold the loop the lint keeps out of the rest
         assert list(integer_row_loops(ast.parse((SRC / name).read_text(encoding="utf-8"))))
+
+
+def number_reads(tree):
+    """Line numbers of int(...) and Fraction(...) calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("int", "Fraction"):
+            yield node.lineno
+
+
+# number text is read by lattice._number alone, so the parser and the
+# command line read it as the library does
+@pytest.mark.parametrize("name", ["defsio.py", "cli.py"])
+def test_the_parser_and_the_command_line_read_no_number_themselves(name):
+    lines = list(number_reads(ast.parse((SRC / name).read_text(encoding="utf-8"))))
+    assert lines == [], f"{name}: int() or Fraction() on lines {lines}"
+
+
+def test_the_number_read_lint_finds_the_form_it_refuses():
+    source = ("int(text)\nFraction(text)\nx = [int(t) for t in f(Fraction(1, 2))]\n"
+              "_number(text)\nisinstance(x, int)\nfractions.Fraction(text)\nkw.get('type', int)\n")
+    assert list(number_reads(ast.parse(source))) == [1, 2, 3, 3]
+    assert list(number_reads(ast.parse((SRC / "lattice.py").read_text(encoding="utf-8"))))
 
 
 def test_the_tuple_lint_finds_each_form_it_refuses():

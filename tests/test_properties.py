@@ -1264,3 +1264,33 @@ def test_literal_parsers_match_the_token_route(text, allow_fraction):
             == literal_outcome(reference_number_text, text, allow_fraction))
     assert (literal_outcome(parse_matrix_text, text, allow_fraction)
             == literal_outcome(reference_matrix_text, text, allow_fraction))
+
+
+# Number texts: the literal entries, texts from the literal alphabet, and
+# short texts of the characters Fraction() accepted beyond the definitions
+# form (signs, points, exponents, underscores, spaces), kept short so that
+# no exponent is large.
+number_texts = st.one_of(literal_entries, st.text(LITERAL_ALPHABET, max_size=8),
+                         st.text(st.sampled_from(list("0123456789" * 2 + "-+/._eE \t²٣")), max_size=6))
+
+
+def number_outcome(read, text):
+    """The value and its type, or None when read refuses the text with a ValueError."""
+    try:
+        value = read(text)
+    except ValueError:
+        return None
+    return type(value), value
+
+
+@settings(max_examples=1000, deadline=None)
+@given(number_texts)
+@example("1_0")
+@example("1 / 2")
+@example("+1")
+@example("1/0")
+@example("1/2/3")
+@example("²")
+@example("٣/6")
+def test_the_library_reads_number_text_as_the_definitions_format_does(text):
+    assert number_outcome(lattice.as_rational, text) == number_outcome(parse_number_text, text)

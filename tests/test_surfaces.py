@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fmlattice.catalog import builtin_catalog
 from fmlattice.lattice import BilinearForm, DimensionError
 from fmlattice.surfaces import (
     ExtendedVector,
@@ -122,6 +123,16 @@ class TestExactConstructor:
         v = ExtendedVector(Fraction(4, 2), [Fraction(-3, 1)], "1/2")
         assert (v.r, v.c, v.s) == (2, (-3,), Fraction(1, 2))
         assert type(v.r) is int and type(v.c[0]) is int and type(v.s) is Fraction
+
+    def test_character_refuses_text_outside_the_definitions_form(self):
+        # as_rational handed ' 1 ' and '1_0' to Fraction(), which gave s = 10
+        # on Python 3.11 and later; the CLI and --defs files refuse both
+        k3 = builtin_catalog().surfaces["k3_toy"]
+        with pytest.raises(ValueError, match="^bad number ' 1 '$"):
+            k3.character(" 1 ", ["0"], "1_0")
+        with pytest.raises(ValueError, match="^bad number '1_0'$"):
+            k3.character("1", ["0"], "1_0")
+        assert k3.character("1", ["0"], "-3") == k3.character(1, [0], -3)
 
     @pytest.mark.parametrize("divisor", ["12", b"12"])
     def test_string_divisor_is_rejected_not_iterated(self, divisor):
